@@ -27,13 +27,12 @@ Everything is exact rational arithmetic (`fractions.Fraction`); no floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, energy_of
+from .spectrum import State, StateLike, energy_of, form_solutions
 
 Rational = Union[int, str, Fraction]
 
@@ -163,6 +162,12 @@ def doublet_from_rep(rep: BrahmaguptaRep) -> Doublet:
     return Doublet(first, second, rep.energy)
 
 
+def is_strict(rep: BrahmaguptaRep) -> bool:
+    """True when the doublet of `rep` is two distinct positive-integer states."""
+    doublet = doublet_from_rep(rep)
+    return doublet.is_state_pair and doublet.is_distinct
+
+
 def signed_doublet(
     v1: Rational, v2: Rational, v3: Rational, v4: Rational
 ) -> "tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]":
@@ -192,19 +197,6 @@ def _divisors(n: int) -> "list[int]":
     return ds
 
 
-def _form_reps(n: int) -> "list[tuple[int, int]]":
-    """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x."""
-    reps = []
-    x = 1
-    while 3 * x * x < n:
-        rest = n - 3 * x * x
-        y = math.isqrt(rest)
-        if y * y == rest:
-            reps.append((x, y))
-        x += 1
-    return reps
-
-
 def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[BrahmaguptaRep]":
     """All representations of `energy`, sorted lexicographically by (v1, v2, v3, v4).
 
@@ -214,43 +206,28 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     enumerated independently.  Ordered tuples are distinct representations:
     (1,2,2,1) and (2,1,1,2) both count.
 
-    Strict mode keeps only representations whose doublet consists of two
-    distinct positive-integer states.  Returns [] when nothing represents
-    the energy.
+    Both factors are solved by `form_solutions`.  Strict mode keeps only the
+    representations that pass `is_strict`.  Returns [] when nothing
+    represents the energy.
     """
     if energy < 4:
         return []
     reps = []
     target = 4 * energy
     for d1 in _divisors(target):
-        first_reps = _form_reps(d1)
+        first_reps = form_solutions(d1)
         if not first_reps:
             continue
-        second_reps = _form_reps(target // d1)
+        second_reps = form_solutions(target // d1)
         for v1, v2 in first_reps:
             for a, b in second_reps:
                 reps.append(
                     BrahmaguptaRep(v1, v2, Fraction(a, 2), Fraction(b, 2), energy)
                 )
     if mode is RepMode.STRICT:
-        reps = [
-            r
-            for r in reps
-            if (d := doublet_from_rep(r)).is_state_pair and d.is_distinct
-        ]
+        reps = [r for r in reps if is_strict(r)]
     reps.sort(key=lambda r: r.key)
     return reps
-
-
-def _check_pair(first: StateLike, second: StateLike) -> "tuple[State, State]":
-    p = State(*first)
-    q = State(*second)
-    ep, eq = energy_of(p), energy_of(q)
-    if ep != eq:
-        raise ValueError(f"states {p} and {q} have different energies ({ep} != {eq})")
-    if p == q:
-        raise ValueError(f"states must be distinct, got {p} twice")
-    return p, q
 
 
 def inverse_rep(
@@ -267,7 +244,7 @@ def inverse_rep(
 
     so that `signed_doublet(v1, v2, v3, v4)` returns ((p1, p2), (q1, q2))
     exactly.  v1 here is the sum of the two second indices; building it from
-    mixed indices (see `inverse_rep_mixed_variant`) breaks the round trip.
+    mixed indices, v1 = (q1 + p2) * xi, breaks the round trip.
 
     Scaling xi rescales (v1, v2) proportionally and (v3, v4) inversely, so
     the round trip is xi-invariant; xi = 1/6 normalizes v3 to 1.
@@ -275,31 +252,17 @@ def inverse_rep(
     Raises ValueError for identical states (v2 would vanish and the doublet
     degenerate), for energy mismatch, and for xi <= 0.
     """
-    p, q = _check_pair(first, second)
+    p = State(*first)
+    q = State(*second)
+    ep, eq = energy_of(p), energy_of(q)
+    if ep != eq:
+        raise ValueError(f"states {p} and {q} have different energies ({ep} != {eq})")
+    if p == q:
+        raise ValueError(f"states must be distinct, got {p} twice")
     xi = _frac(xi)
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
     v1 = (p.n2 + q.n2) * xi
-    v2 = 3 * (q.n1 - p.n1) * xi
-    v3 = 1 / (6 * xi)
-    v4 = Fraction(q.n1 + p.n1, 2 * (q.n2 + p.n2)) / xi
-    return (v1, v2, v3, v4)
-
-
-def inverse_rep_mixed_variant(
-    first: StateLike, second: StateLike, xi: Rational = Fraction(1, 6)
-) -> "tuple[Fraction, Fraction, Fraction, Fraction]":
-    """Variant building v1 from mixed indices: v1 = (q1 + p2) * xi.
-
-    Kept only as a documented failure mode: it does NOT satisfy the
-    round-trip contract (the suite pins the failure on the ((3,8),(5,4))
-    pair).  Use `inverse_rep`.
-    """
-    p, q = _check_pair(first, second)
-    xi = _frac(xi)
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    v1 = (q.n1 + p.n2) * xi
     v2 = 3 * (q.n1 - p.n1) * xi
     v3 = 1 / (6 * xi)
     v4 = Fraction(q.n1 + p.n1, 2 * (q.n2 + p.n2)) / xi

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .brahmagupta import RepClass, RepMode, classify_rep, rep_search
-from .perrin import match_perrin
+from .perrin import find_seed, match_perrin
 from .spectrum import Parity, Spectrum
 
 # Table-style reports always pad degeneracy rows out to these minimums so a
@@ -70,37 +70,25 @@ class CensusReport:
 def build_census(spectrum: Spectrum) -> CensusReport:
     """Exact degeneracy-by-parity histogram plus conjecture tallies.
 
-    Deterministic.  The Perrin tally runs the real matcher on every
-    same-parity 3-fold level.  Doublet coverage needs no search at all:
-    each level state (n1, n2) witnesses the representation
-    (1, 1, n1/2, n2/2) of its own energy, since (3+1)*(3*n1^2+n2^2)/4 = E;
-    the integer identity is re-checked per level.  The full search-based
-    checker (`check_brahmagupta_conjecture`) is the slow, independent route.
+    Deterministic.  The Perrin tally runs the seed scan (`find_seed`) on the
+    raw states of every same-parity 3-fold level, building no EnergyLevel.
+    Doublet coverage needs no search at all: each level state (n1, n2)
+    witnesses the representation (1, 1, n1/2, n2/2) of its own energy,
+    since (3+1)*(3*n1^2+n2^2)/4 = E, so every doublet level is covered and
+    `brahmagupta_exceptions` is empty (the lemma is pinned by a test).  The
+    full search-based checker (`check_brahmagupta_conjecture`) is the slow,
+    independent route.
     """
     hist: "Counter[tuple[Parity, int]]" = Counter()
-    perrin_total = 0
-    perrin_matched = 0
     perrin_exceptions = []
-    doublet_total = 0
-    doublet_covered = 0
-    doublet_exceptions = []
     for energy, states in spectrum.raw_items():
         g = len(states)
         same = energy % 4 == 0
         hist[(Parity.SAME if same else Parity.OPPOSITE, g)] += 1
-        if same and g == 3:
-            perrin_total += 1
-            if _match_seed(energy, states) is None:
-                perrin_exceptions.append(energy)
-            else:
-                perrin_matched += 1
-        elif not same and g == 2:
-            doublet_total += 1
-            n1, n2 = states[0]
-            if 3 * n1 * n1 + n2 * n2 == energy:  # witness rep (1,1,n1/2,n2/2)
-                doublet_covered += 1
-            else:
-                doublet_exceptions.append(energy)
+        if same and g == 3 and find_seed(states) is None:
+            perrin_exceptions.append(energy)
+    perrin_total = hist[(Parity.SAME, 3)]
+    doublet_total = hist[(Parity.OPPOSITE, 2)]
 
     rows = []
     for parity in (Parity.SAME, Parity.OPPOSITE):
@@ -113,24 +101,12 @@ def build_census(spectrum: Spectrum) -> CensusReport:
         e_max=spectrum.e_max,
         rows=tuple(rows),
         perrin_total=perrin_total,
-        perrin_matched=perrin_matched,
+        perrin_matched=perrin_total - len(perrin_exceptions),
         perrin_exceptions=tuple(perrin_exceptions),
         brahmagupta_total=doublet_total,
-        brahmagupta_covered=doublet_covered,
-        brahmagupta_exceptions=tuple(doublet_exceptions),
+        brahmagupta_covered=doublet_total,
+        brahmagupta_exceptions=(),
     )
-
-
-def _match_seed(energy, states):
-    # Raw-bucket twin of perrin.match_perrin, used by the census walk to
-    # avoid materializing EnergyLevel objects at large e_max.
-    members = set(states)
-    for a, b in states:
-        if b > 3 * a and (b - a) % 2 == 0:
-            m2 = (b - a) // 2
-            if (m2, m2 + 2 * a) in members and (a + m2, m2 - a) in members:
-                return (a, m2)
-    return None
 
 
 def check_perrin_conjecture(spectrum: Spectrum) -> "list[int]":

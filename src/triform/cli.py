@@ -28,6 +28,7 @@ from .brahmagupta import (
     classify_rep,
     doublet_from_rep,
     inverse_rep,
+    is_strict,
     rep_search,
 )
 from .census import (
@@ -210,7 +211,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def _rep_digest(energy: int) -> "tuple[list[BrahmaguptaRep], int, int]":
     reps = rep_search(energy, RepMode.FACTORIZATION)
     all_integer = sum(1 for r in reps if classify_rep(r) is RepClass.ALL_INTEGER)
-    strict = len(rep_search(energy, RepMode.STRICT))
+    strict = sum(1 for r in reps if is_strict(r))
     return reps, all_integer, strict
 
 
@@ -496,6 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument(
         "--format", choices=FORMATS, default="table", help="output format"
     )
+    emax = argparse.ArgumentParser(add_help=False)
+    emax.add_argument("--emax", type=int, required=True)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
+        "--mode",
+        choices=[m.value for m in RepMode],
+        default=RepMode.FACTORIZATION.value,
+    )
 
     parser = argparse.ArgumentParser(
         prog="triform",
@@ -510,33 +519,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("census", parents=[fmt], help="degeneracy-by-parity census")
-    p.add_argument("--emax", type=int, required=True)
+    p = sub.add_parser("census", parents=[fmt, emax], help="degeneracy-by-parity census")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("level", parents=[fmt], help="one level with seed and rep summary")
     p.add_argument("energy", type=int)
     p.set_defaults(func=cmd_level)
 
-    p = sub.add_parser("verify", parents=[fmt], help="run both conjecture checks")
-    p.add_argument("--emax", type=int, required=True)
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in RepMode],
-        default=RepMode.FACTORIZATION.value,
+    p = sub.add_parser(
+        "verify", parents=[fmt, emax, mode], help="run both conjecture checks"
     )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("braham", help="representation tools")
     bsub = p.add_subparsers(dest="braham_command", required=True)
 
-    b = bsub.add_parser("reps", parents=[fmt], help="all representations of an energy")
-    b.add_argument("energy", type=int)
-    b.add_argument(
-        "--mode",
-        choices=[m.value for m in RepMode],
-        default=RepMode.FACTORIZATION.value,
+    b = bsub.add_parser(
+        "reps", parents=[fmt, mode], help="all representations of an energy"
     )
+    b.add_argument("energy", type=int)
     b.set_defaults(func=cmd_braham_reps)
 
     b = bsub.add_parser("doublet", parents=[fmt], help="doublet generated by a rep")

@@ -10,6 +10,7 @@ same-parity levels (the energy is divisible by 4).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -70,12 +71,11 @@ def perrin_triplet(seed: SeedLike) -> PerrinTriplet:
     return PerrinTriplet(s, perrin_energy(s), states)
 
 
-def match_perrin(level: EnergyLevel) -> Optional[PerrinSeed]:
-    """Smallest seed (lexicographic) whose triplet is contained in `level`.
+def find_seed(states: "Sequence[tuple[int, int]]") -> "Optional[tuple[int, int]]":
+    """Smallest seed (m1, m2) whose triplet is contained in `states`.
 
-    Containment is subset containment: levels of degeneracy above three may
-    hold a triplet plus extra states.  Returns None when no seed matches,
-    in particular for every odd-energy level.
+    `states` are the raw (n1, n2) pairs of one level, ascending in n1, so
+    callers holding unmaterialized buckets need no :class:`EnergyLevel`.
 
     Any contained triplet exposes its seed through its first member: the
     generated state with the smallest n1 is (m1, m1 + 2*m2), so each level
@@ -83,13 +83,23 @@ def match_perrin(level: EnergyLevel) -> Optional[PerrinSeed]:
     (a, (b - a)/2), and scanning states in ascending n1 visits candidates
     in ascending m1.  This is equivalent to scanning m1 < sqrt(E/12) and
     solving E/4 = m1^2 + m1*m2 + m2^2 for an integer root, but costs O(g).
+    Opposite-parity states never pass the b = a (mod 2) test.
     """
-    if level.energy % 4 != 0:
-        return None
-    members = set(level.states)
-    for a, b in level.states:
+    members = set(states)
+    for a, b in states:
         if b > 3 * a and (b - a) % 2 == 0:
             m2 = (b - a) // 2
             if (m2, m2 + 2 * a) in members and (a + m2, m2 - a) in members:
-                return PerrinSeed(a, m2)
+                return (a, m2)
     return None
+
+
+def match_perrin(level: EnergyLevel) -> Optional[PerrinSeed]:
+    """Smallest seed (lexicographic) whose triplet is contained in `level`.
+
+    Containment is subset containment: levels of degeneracy above three may
+    hold a triplet plus extra states.  Returns None when no seed matches,
+    in particular for every odd-energy level.  The scan is `find_seed`.
+    """
+    seed = find_seed(level.states)
+    return None if seed is None else PerrinSeed(*seed)

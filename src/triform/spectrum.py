@@ -200,22 +200,29 @@ def enumerate_spectrum(e_max: int) -> Spectrum:
     return Spectrum(e_max, buckets)
 
 
+def form_solutions(n: int) -> "list[tuple[int, int]]":
+    """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
+
+    For each x up to sqrt((n-1)/3), tests n - 3*x^2 for being a perfect
+    square.  Empty for n < 4.
+    """
+    solutions = []
+    x = 1
+    while 3 * x * x < n:
+        rest = n - 3 * x * x
+        y = math.isqrt(rest)
+        if y * y == rest:
+            solutions.append((x, y))
+        x += 1
+    return solutions
+
+
 def level_of(energy: int) -> Optional[EnergyLevel]:
     """The complete level at `energy`, or None when no state reaches it.
 
-    Solves 3*n1^2 + n2^2 = E directly: for each n1 up to sqrt((E-1)/3),
-    tests E - 3*n1^2 for being a perfect square.
+    The states are the solutions of 3*n1^2 + n2^2 = E (`form_solutions`).
     """
-    if energy < 4:
-        return None
-    states = []
-    n1 = 1
-    while 3 * n1 * n1 < energy:
-        rest = energy - 3 * n1 * n1
-        n2 = math.isqrt(rest)
-        if n2 * n2 == rest:
-            states.append(State(n1, n2))
-        n1 += 1
+    states = form_solutions(energy)
     if not states:
         return None
-    return EnergyLevel(energy, tuple(states))
+    return EnergyLevel(energy, tuple(State(a, b) for a, b in states))

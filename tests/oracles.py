@@ -87,3 +87,17 @@ def scan_match_seed(energy: int, states) -> "tuple[int, int] | None":
                 return (m1, m2)
         m1 += 1
     return None
+
+
+def inverse_rep_mixed_variant(first, second, xi):
+    """`inverse_rep` with v1 built from mixed indices: v1 = (q1 + p2) * xi.
+
+    A documented failure mode: it does not satisfy the round-trip contract
+    of `inverse_rep`, and the suite pins that on the pair (3,8), (5,4).
+    """
+    (p1, p2), (q1, q2) = first, second
+    v1 = (q1 + p2) * xi
+    v2 = 3 * (q1 - p1) * xi
+    v3 = 1 / (6 * xi)
+    v4 = Fraction(q1 + p1, 2 * (q2 + p2)) / xi
+    return (v1, v2, v3, v4)

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction as F
 
 import oracles
+from oracles import inverse_rep_mixed_variant
 from triform import (
     Parity,
     RepClass,
@@ -25,7 +26,6 @@ from triform import (
     enumerate_spectrum,
     identity_expand,
     inverse_rep,
-    inverse_rep_mixed_variant,
     level_of,
     match_perrin,
     parity_of,

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import inverse_rep_mixed_variant
 from triform import (
     BrahmaguptaRep,
     RepClass,
@@ -15,7 +16,6 @@ from triform import (
     doublet_from_rep,
     identity_expand,
     inverse_rep,
-    inverse_rep_mixed_variant,
     level_of,
     rep_search,
     signed_doublet,

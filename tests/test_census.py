@@ -1,6 +1,9 @@
+from fractions import Fraction as F
+
 import pytest
 
 from triform import (
+    BrahmaguptaRep,
     CensusRow,
     Parity,
     RepMode,
@@ -9,6 +12,7 @@ from triform import (
     check_perrin_conjecture,
     doublet_coverage,
     enumerate_spectrum,
+    rep_search,
 )
 
 TABLE_2700_SAME = {1: 32, 2: 0, 3: 132, 4: 8, 5: 0, 6: 20, 7: 0, 8: 0, 9: 1}
@@ -37,6 +41,21 @@ def test_census_conjecture_tallies(census_2700):
     assert census_2700.brahmagupta_total == 109
     assert census_2700.brahmagupta_covered == 109
     assert census_2700.brahmagupta_exceptions == ()
+
+
+def test_doublet_witness_lemma(spectrum_2700):
+    # build_census reports every doublet level as covered without a search:
+    # a state (n1, n2) of energy E witnesses the rep (1, 1, n1/2, n2/2) of E.
+    doublets = [
+        level
+        for level in spectrum_2700.iter_levels()
+        if level.parity is Parity.OPPOSITE and level.degeneracy == 2
+    ]
+    assert len(doublets) == 109
+    for level in doublets:
+        n1, n2 = level.states[0]
+        witness = BrahmaguptaRep(1, 1, F(n1, 2), F(n2, 2), level.energy)
+        assert witness in rep_search(level.energy)
 
 
 def test_census_28():

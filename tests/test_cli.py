@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from triform import RepMode, rep_search
 from triform.cli import frac_str, main, parse_rational
 
 
@@ -119,15 +120,31 @@ def test_level_196(capsys):
     assert "seed (3,5)" in out
 
 
-def test_level_91_json(capsys):
-    code, out, _ = run_cli(capsys, "level", "91", "--format", "json")
+# energy -> (states, rep_counts) of `level --format json`
+LEVEL_JSON = {
+    91: ([[3, 8], [5, 4]], {"factorization": 16, "all_integer": 2, "strict": 4}),
+    1267: ([[9, 32], [17, 20]], {"factorization": 16, "all_integer": 2, "strict": 4}),
+    1_000_027: (
+        [[3, 1000], [197, 940], [261, 892], [419, 688],
+         [453, 620], [509, 472], [547, 320], [571, 148]],
+        {"factorization": 352, "all_integer": 56, "strict": 112},
+    ),
+}
+
+
+@pytest.mark.parametrize("energy", sorted(LEVEL_JSON))
+def test_level_json_rep_counts(capsys, energy):
+    states, rep_counts = LEVEL_JSON[energy]
+    code, out, _ = run_cli(capsys, "level", str(energy), "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["states"] == [[3, 8], [5, 4]]
+    assert doc["states"] == states
     assert doc["perrin_seed"] is None
-    assert doc["rep_counts"] == {"factorization": 16, "all_integer": 2, "strict": 4}
-    assert len(doc["reps"]) == 16
-    assert [1, 2, "2", "1"] in doc["reps"]
+    assert doc["rep_counts"] == rep_counts
+    assert rep_counts["strict"] == len(rep_search(energy, RepMode.STRICT))
+    assert doc["reps"] == [
+        [r.v1, r.v2, frac_str(r.v3), frac_str(r.v4)] for r in rep_search(energy)
+    ]
 
 
 def test_level_absent(capsys):
