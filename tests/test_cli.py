@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# ----------------------------------------------------------------- goldens
+
+# Every subcommand in every --format, byte for byte.  cases.json maps each
+# golden file to the argv that produced it and the expected exit code; the
+# file holds the exact stdout.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_golden(capsys, name):
+    case = GOLDEN_CASES[name]
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["code"]
+    assert out == (GOLDEN / name).read_bytes().decode("utf-8")
 
 
 # ---------------------------------------------------------------- spectrum
