@@ -4,6 +4,13 @@ Subcommands: spectrum, census, level, verify, braham (reps|doublet|inverse).
 Every subcommand takes --format {table,json,csv}; results go to stdout,
 diagnostics to stderr.
 
+Each command builds its result once, as a JSON-shaped record of plain dicts
+and lists, and hands it to `_render`, the only code that looks at --format.
+The three formats are views of that record: JSON dumps it, CSV projects a
+list of row records onto a header through one cell rule (`_cell`), and the
+table is a list of lines read off the same records.  No view goes back to
+the domain objects.
+
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error.
 
@@ -15,11 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
@@ -32,14 +38,13 @@ from .brahmagupta import (
     rep_search,
 )
 from .census import (
-    CensusReport,
     build_census,
     check_brahmagupta_conjecture,
     check_perrin_conjecture,
     doublet_coverage,
 )
 from .perrin import match_perrin
-from .spectrum import Parity, enumerate_spectrum, level_of
+from .spectrum import EmptySpectrumError, Parity, enumerate_spectrum, level_of
 
 FORMATS = ("table", "json", "csv")
 
@@ -60,22 +65,32 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
+def _cell(value):
+    """CSV cell of a record field: a pair joins as a:b, a list of pairs as
+    a:b;c:d, and None is empty."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        if value and isinstance(value[0], list):
+            return ";".join(map(_cell, value))
+        return ":".join(map(str, value))
+    return value
+
+
+def _render(args: argparse.Namespace, doc: dict, header: "list[str]",
+            rows: "list[dict]", table: "Callable[[dict, list[dict]], list[str]]") -> None:
+    """Write one command's result to stdout in the chosen --format: `doc` as
+    JSON, `rows` projected onto `header` as CSV, or the lines `table(doc, rows)`
+    returns."""
+    if args.format == "json":
+        json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
-
-
-def _csv_rows(header: "list[str]", rows: "list[list]") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _states_cell(states) -> str:
-    return ";".join(f"{a}:{b}" for a, b in states)
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(row[key]) for key in header] for row in rows)
+    else:
+        sys.stdout.writelines(line + "\n" for line in table(doc, rows))
 
 
 def _states_human(states) -> str:
@@ -84,92 +99,62 @@ def _states_human(states) -> str:
 
 # ---------------------------------------------------------------- spectrum
 
+def _level_record(level) -> dict:
+    return {
+        "energy": level.energy,
+        "parity": level.parity.value,
+        "degeneracy": level.degeneracy,
+        "states": [[a, b] for a, b in level.states],
+    }
+
+
+def _spectrum_table(doc: dict, levels: "list[dict]") -> "list[str]":
+    return [f"{'energy':>8}  {'parity':<8}  {'g':>3}  states"] + [
+        f"{lv['energy']:>8}  {lv['parity']:<8}  {lv['degeneracy']:>3}  "
+        f"{_states_human(lv['states'])}"
+        for lv in levels
+    ]
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.emax < 4:
-        return _fail_usage("no states below E=4")
-    spectrum = enumerate_spectrum(args.emax)
-    records = []
-    for level in spectrum.iter_levels():
-        if args.only_degenerate and level.degeneracy < 2:
-            continue
-        records.append(level)
-    if args.format == "json":
-        doc = {
-            "e_max": args.emax,
-            "levels": [
-                {
-                    "energy": lv.energy,
-                    "parity": lv.parity.value,
-                    "degeneracy": lv.degeneracy,
-                    "states": [[a, b] for a, b in lv.states],
-                }
-                for lv in records
-            ],
-        }
-        _emit(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["energy", "parity", "degeneracy", "states"],
-                [
-                    [lv.energy, lv.parity.value, lv.degeneracy, _states_cell(lv.states)]
-                    for lv in records
-                ],
-            )
-        )
-    else:
-        lines = [f"{'energy':>8}  {'parity':<8}  {'g':>3}  states"]
-        for lv in records:
-            lines.append(
-                f"{lv.energy:>8}  {lv.parity.value:<8}  {lv.degeneracy:>3}  "
-                f"{_states_human(lv.states)}"
-            )
-        _emit("\n".join(lines))
+    levels = [
+        _level_record(level)
+        for level in enumerate_spectrum(args.emax).iter_levels()
+        if not args.only_degenerate or level.degeneracy >= 2
+    ]
+    doc = {"e_max": args.emax, "levels": levels}
+    _render(args, doc, ["energy", "parity", "degeneracy", "states"], levels,
+            _spectrum_table)
     return 0
 
 
 # ------------------------------------------------------------------ census
 
-def _census_table(report: CensusReport) -> str:
-    lines = [f"degeneracy census for E <= {report.e_max}", ""]
-    lines.append(f"{'parity':<10}{'degeneracy':>12}{'levels':>9}{'states':>9}")
-    for parity, label in ((Parity.SAME, "same"), (Parity.OPPOSITE, "opposite")):
-        for row in report.rows_for(parity):
-            lines.append(
-                f"{label:<10}{row.degeneracy:>12}{row.levels:>9}{row.states:>9}"
-            )
-        sub = report.subtotal(parity)
-        lines.append(f"{label:<10}{'subtotal':>12}{sub[0]:>9}{sub[1]:>9}")
-    total = report.total
-    lines.append(f"{'total':<10}{'':>12}{total[0]:>9}{total[1]:>9}")
-    lines.append("")
-    lines.append(
+def _census_table(doc: dict, rows: "list[dict]") -> "list[str]":
+    return [
+        f"degeneracy census for E <= {doc['e_max']}",
+        "",
+        f"{'parity':<10}{'degeneracy':>12}{'levels':>9}{'states':>9}",
+        *(f"{r['parity']:<10}{r['degeneracy']:>12}{r['levels']:>9}{r['states']:>9}"
+          for r in rows),
+        "",
         f"perrin-matched same-parity 3-fold levels: "
-        f"{report.perrin_matched}/{report.perrin_total}"
-    )
-    lines.append(
+        f"{doc['perrin_matched']}/{doc['perrin_total']}",
         f"covered opposite-parity 2-fold levels: "
-        f"{report.brahmagupta_covered}/{report.brahmagupta_total}"
-    )
-    return "\n".join(lines)
+        f"{doc['brahmagupta_covered']}/{doc['brahmagupta_total']}",
+    ]
 
 
-def _census_json(report: CensusReport) -> str:
+def cmd_census(args: argparse.Namespace) -> int:
+    report = build_census(enumerate_spectrum(args.emax))
     doc = {
         "e_max": report.e_max,
         "rows": [
-            {
-                "parity": r.parity.value,
-                "degeneracy": r.degeneracy,
-                "levels": r.levels,
-                "states": r.states,
-            }
+            {"parity": r.parity.value, "degeneracy": r.degeneracy,
+             "levels": r.levels, "states": r.states}
             for r in report.rows
         ],
-        "subtotals": {
-            "same": list(report.subtotal(Parity.SAME)),
-            "opposite": list(report.subtotal(Parity.OPPOSITE)),
-        },
+        "subtotals": {p.value: list(report.subtotal(p)) for p in Parity},
         "total": list(report.total),
         "perrin_matched": report.perrin_matched,
         "perrin_total": report.perrin_total,
@@ -178,41 +163,31 @@ def _census_json(report: CensusReport) -> str:
         "brahmagupta_total": report.brahmagupta_total,
         "brahmagupta_exceptions": list(report.brahmagupta_exceptions),
     }
-    return json.dumps(doc, indent=2)
-
-
-def _census_csv(report: CensusReport) -> str:
+    # Histogram rows, each parity closed by its subtotal, then the total.
     rows = []
-    for parity, label in ((Parity.SAME, "same"), (Parity.OPPOSITE, "opposite")):
-        for r in report.rows_for(parity):
-            rows.append([label, r.degeneracy, r.levels, r.states])
-        sub = report.subtotal(parity)
-        rows.append([label, "subtotal", sub[0], sub[1]])
-    total = report.total
-    rows.append(["total", "", total[0], total[1]])
-    return _csv_rows(["parity", "degeneracy", "levels", "states"], rows)
-
-
-def cmd_census(args: argparse.Namespace) -> int:
-    if args.emax < 4:
-        return _fail_usage("no states below E=4")
-    report = build_census(enumerate_spectrum(args.emax))
-    if args.format == "json":
-        _emit(_census_json(report))
-    elif args.format == "csv":
-        _emit(_census_csv(report))
-    else:
-        _emit(_census_table(report))
+    for parity, (levels, states) in doc["subtotals"].items():
+        rows += [r for r in doc["rows"] if r["parity"] == parity]
+        rows.append({"parity": parity, "degeneracy": "subtotal",
+                     "levels": levels, "states": states})
+    rows.append({"parity": "total", "degeneracy": "",
+                 "levels": doc["total"][0], "states": doc["total"][1]})
+    _render(args, doc, ["parity", "degeneracy", "levels", "states"], rows, _census_table)
     return 0
 
 
 # ------------------------------------------------------------------- level
 
-def _rep_digest(energy: int) -> "tuple[list[BrahmaguptaRep], int, int]":
-    reps = rep_search(energy, RepMode.FACTORIZATION)
-    all_integer = sum(1 for r in reps if classify_rep(r) is RepClass.ALL_INTEGER)
-    strict = sum(1 for r in reps if is_strict(r))
-    return reps, all_integer, strict
+def _level_table(doc: dict, rows: "list[dict]") -> "list[str]":
+    seed, counts = doc["perrin_seed"], doc["rep_counts"]
+    return [
+        f"energy      {doc['energy']}",
+        f"parity      {doc['parity']}",
+        f"degeneracy  {doc['degeneracy']}",
+        f"states      {_states_human(doc['states'])}",
+        f"perrin      {f'seed ({seed[0]},{seed[1]})' if seed else 'no seed'}",
+        f"reps        {counts['factorization']} factorization, "
+        f"{counts['all_integer']} all-integer, {counts['strict']} strict",
+    ]
 
 
 def cmd_level(args: argparse.Namespace) -> int:
@@ -223,234 +198,154 @@ def cmd_level(args: argparse.Namespace) -> int:
         print(f"no such level: E={args.energy}", file=sys.stderr)
         return 1
     seed = match_perrin(level)
-    reps, all_integer, strict = _rep_digest(level.energy)
-    if args.format == "json":
-        doc = {
-            "energy": level.energy,
-            "parity": level.parity.value,
-            "degeneracy": level.degeneracy,
-            "states": [[a, b] for a, b in level.states],
-            "perrin_seed": [seed.m1, seed.m2] if seed else None,
-            "reps": [
-                [r.v1, r.v2, frac_str(r.v3), frac_str(r.v4)] for r in reps
-            ],
-            "rep_counts": {
-                "factorization": len(reps),
-                "all_integer": all_integer,
-                "strict": strict,
-            },
-        }
-        _emit(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["energy", "parity", "degeneracy", "states", "perrin_seed", "reps",
-                 "all_integer_reps", "strict_reps"],
-                [[
-                    level.energy,
-                    level.parity.value,
-                    level.degeneracy,
-                    _states_cell(level.states),
-                    f"{seed.m1}:{seed.m2}" if seed else "",
-                    len(reps),
-                    all_integer,
-                    strict,
-                ]],
-            )
-        )
-    else:
-        lines = [
-            f"energy      {level.energy}",
-            f"parity      {level.parity.value}",
-            f"degeneracy  {level.degeneracy}",
-            f"states      {_states_human(level.states)}",
-            f"perrin      {f'seed ({seed.m1},{seed.m2})' if seed else 'no seed'}",
-            f"reps        {len(reps)} factorization, {all_integer} all-integer, "
-            f"{strict} strict",
-        ]
-        _emit("\n".join(lines))
+    reps = rep_search(level.energy, RepMode.FACTORIZATION)
+    doc = {
+        **_level_record(level),
+        "perrin_seed": [seed.m1, seed.m2] if seed else None,
+        "reps": [[r.v1, r.v2, frac_str(r.v3), frac_str(r.v4)] for r in reps],
+        "rep_counts": {
+            "factorization": len(reps),
+            "all_integer": sum(classify_rep(r) is RepClass.ALL_INTEGER for r in reps),
+            "strict": sum(map(is_strict, reps)),
+        },
+    }
+    counts = doc["rep_counts"]
+    row = {**doc, "reps": counts["factorization"],
+           "all_integer_reps": counts["all_integer"], "strict_reps": counts["strict"]}
+    header = ["energy", "parity", "degeneracy", "states", "perrin_seed", "reps",
+              "all_integer_reps", "strict_reps"]
+    _render(args, doc, header, [row], _level_table)
     return 0
 
 
 # ------------------------------------------------------------------ verify
 
+def _tally(part: dict, passed: str, what: str) -> str:
+    bad = part["counterexamples"]
+    return (f"{part[passed]}/{part['total']} {what}"
+            + (f"; counterexamples: {bad}" if bad else ""))
+
+
+def _verify_table(doc: dict, rows: "list[dict]") -> "list[str]":
+    braham = doc["brahmagupta"]
+    missing = braham["levels_without_all_integer_rep"]
+    outside = braham["non_doublet_degenerate"]
+    lines = [
+        f"conjecture check for E <= {doc['e_max']} ({doc['mode']} mode)",
+        "",
+        "perrin:      "
+        + _tally(doc["perrin"], "matched", "same-parity 3-fold levels matched"),
+        "brahmagupta: "
+        + _tally(braham, "covered", "opposite-parity 2-fold levels covered"),
+        f"first doublet level without an all-integer rep: {missing[0]}" if missing
+        else "all doublet levels in range have an all-integer rep",
+    ]
+    if outside["by_degeneracy"]:
+        by_g = outside["by_degeneracy"].items()
+        breakdown = ", ".join(f"{n} of g={g}" for g, n in by_g)
+        lines.append(
+            f"opposite-parity degenerate levels outside the doublet series: "
+            f"{outside['total']} ({breakdown})"
+        )
+    result = "conjectures hold in range" if doc["ok"] else "counterexample found"
+    return lines + ["", f"RESULT: {result}"]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.emax < 4:
-        return _fail_usage("no states below E=4")
     mode = RepMode(args.mode)
     spectrum = enumerate_spectrum(args.emax)
     report = build_census(spectrum)
     perrin_bad = check_perrin_conjecture(spectrum)
     braham_bad = check_brahmagupta_conjecture(spectrum, mode)
     coverage = doublet_coverage(spectrum)
-    no_all_integer = [c.energy for c in coverage if c.all_integer_count == 0]
     # opposite-parity degenerate levels outside the 2-fold doublet series
-    outside = {
-        r.degeneracy: r.levels
-        for r in report.rows_for(Parity.OPPOSITE)
-        if r.degeneracy >= 3 and r.levels
+    outside = {r.degeneracy: r.levels for r in report.rows_for(Parity.OPPOSITE)
+               if r.degeneracy >= 3 and r.levels}
+    doc = {
+        "e_max": args.emax,
+        "mode": mode.value,
+        "perrin": {
+            "total": report.perrin_total,
+            "matched": report.perrin_total - len(perrin_bad),
+            "counterexamples": perrin_bad,
+        },
+        "brahmagupta": {
+            "total": report.brahmagupta_total,
+            "covered": report.brahmagupta_total - len(braham_bad),
+            "counterexamples": braham_bad,
+            "levels_without_all_integer_rep": [
+                c.energy for c in coverage if c.all_integer_count == 0
+            ],
+            "non_doublet_degenerate": {
+                "total": sum(outside.values()),
+                "by_degeneracy": {str(g): n for g, n in sorted(outside.items())},
+            },
+        },
+        "ok": not perrin_bad and not braham_bad,
     }
-    ok = not perrin_bad and not braham_bad
-    if args.format == "json":
-        doc = {
-            "e_max": args.emax,
-            "mode": mode.value,
-            "perrin": {
-                "total": report.perrin_total,
-                "matched": report.perrin_total - len(perrin_bad),
-                "counterexamples": perrin_bad,
-            },
-            "brahmagupta": {
-                "total": report.brahmagupta_total,
-                "covered": report.brahmagupta_total - len(braham_bad),
-                "counterexamples": braham_bad,
-                "levels_without_all_integer_rep": no_all_integer,
-                "non_doublet_degenerate": {
-                    "total": sum(outside.values()),
-                    "by_degeneracy": {str(g): n for g, n in sorted(outside.items())},
-                },
-            },
-            "ok": ok,
-        }
-        _emit(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["conjecture", "total", "passed", "counterexamples"],
-                [
-                    [
-                        "perrin",
-                        report.perrin_total,
-                        report.perrin_total - len(perrin_bad),
-                        ";".join(map(str, perrin_bad)),
-                    ],
-                    [
-                        f"brahmagupta-{mode.value}",
-                        report.brahmagupta_total,
-                        report.brahmagupta_total - len(braham_bad),
-                        ";".join(map(str, braham_bad)),
-                    ],
-                ],
-            )
+    # counterexample energies are a list, not a pair, so they join with ";"
+    rows = [
+        {"conjecture": name, "total": part["total"], "passed": part[passed],
+         "counterexamples": ";".join(map(str, part["counterexamples"]))}
+        for name, part, passed in (
+            ("perrin", doc["perrin"], "matched"),
+            (f"brahmagupta-{mode.value}", doc["brahmagupta"], "covered"),
         )
-    else:
-        lines = [
-            f"conjecture check for E <= {args.emax} ({mode.value} mode)",
-            "",
-            f"perrin:      {report.perrin_total - len(perrin_bad)}/"
-            f"{report.perrin_total} same-parity 3-fold levels matched"
-            + (f"; counterexamples: {perrin_bad}" if perrin_bad else ""),
-            f"brahmagupta: {report.brahmagupta_total - len(braham_bad)}/"
-            f"{report.brahmagupta_total} opposite-parity 2-fold levels covered"
-            + (f"; counterexamples: {braham_bad}" if braham_bad else ""),
-        ]
-        if no_all_integer:
-            lines.append(
-                f"first doublet level without an all-integer rep: {no_all_integer[0]}"
-            )
-        else:
-            lines.append("all doublet levels in range have an all-integer rep")
-        if outside:
-            breakdown = ", ".join(f"{n} of g={g}" for g, n in sorted(outside.items()))
-            lines.append(
-                f"opposite-parity degenerate levels outside the doublet series: "
-                f"{sum(outside.values())} ({breakdown})"
-            )
-        lines.append("")
-        lines.append(
-            "RESULT: conjectures hold in range" if ok else "RESULT: counterexample found"
-        )
-        _emit("\n".join(lines))
-    return 0 if ok else 1
+    ]
+    _render(args, doc, ["conjecture", "total", "passed", "counterexamples"], rows,
+            _verify_table)
+    return 0 if doc["ok"] else 1
 
 
 # ------------------------------------------------------------------ braham
+
+def _reps_table(doc: dict, reps: "list[dict]") -> "list[str]":
+    return [f"{len(reps)} {doc['mode']} reps of {doc['energy']}"] + [
+        f"  ({r['v1']}, {r['v2']}, {r['v3']}, {r['v4']})  [{r['class']}]" for r in reps
+    ]
+
 
 def cmd_braham_reps(args: argparse.Namespace) -> int:
     if args.energy < 4:
         return _fail_usage("energy must be at least 4")
     mode = RepMode(args.mode)
-    reps = rep_search(args.energy, mode)
-    if args.format == "json":
-        doc = {
-            "energy": args.energy,
-            "mode": mode.value,
-            "reps": [
-                {
-                    "v1": r.v1,
-                    "v2": r.v2,
-                    "v3": frac_str(r.v3),
-                    "v4": frac_str(r.v4),
-                    "class": classify_rep(r).value,
-                }
-                for r in reps
-            ],
-        }
-        _emit(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["v1", "v2", "v3", "v4", "class"],
-                [
-                    [r.v1, r.v2, frac_str(r.v3), frac_str(r.v4), classify_rep(r).value]
-                    for r in reps
-                ],
-            )
-        )
-    else:
-        lines = [f"{len(reps)} {mode.value} reps of {args.energy}"]
-        for r in reps:
-            lines.append(
-                f"  ({r.v1}, {r.v2}, {frac_str(r.v3)}, {frac_str(r.v4)})"
-                f"  [{classify_rep(r).value}]"
-            )
-        _emit("\n".join(lines))
+    reps = [
+        {"v1": r.v1, "v2": r.v2, "v3": frac_str(r.v3), "v4": frac_str(r.v4),
+         "class": classify_rep(r).value}
+        for r in rep_search(args.energy, mode)
+    ]
+    doc = {"energy": args.energy, "mode": mode.value, "reps": reps}
+    _render(args, doc, ["v1", "v2", "v3", "v4", "class"], reps, _reps_table)
     return 0
+
+
+def _doublet_table(doc: dict, rows: "list[dict]") -> "list[str]":
+    first, second = doc["first"], doc["second"]
+    note = "state pair" if doc["state_pair"] else "not a state pair"
+    if not doc["distinct"]:
+        note += ", members coincide"
+    return [
+        f"E={doc['energy']}  ({first[0]},{first[1]}) ({second[0]},{second[1]})"
+        f"  [{note}]"
+    ]
 
 
 def cmd_braham_doublet(args: argparse.Namespace) -> int:
     try:
-        rep = BrahmaguptaRep(
-            v1=args.v1,
-            v2=args.v2,
-            v3=args.v3,
-            v4=args.v4,
-            energy=_rep_energy(args),
-        )
+        rep = BrahmaguptaRep(args.v1, args.v2, args.v3, args.v4, _rep_energy(args))
     except ValueError as exc:
         return _fail_usage(str(exc))
     doublet = doublet_from_rep(rep)
-    pair = doublet.as_states()
-    if args.format == "json":
-        doc = {
-            "rep": [rep.v1, rep.v2, frac_str(rep.v3), frac_str(rep.v4)],
-            "energy": rep.energy,
-            "first": [frac_str(x) for x in doublet.first],
-            "second": [frac_str(x) for x in doublet.second],
-            "state_pair": doublet.is_state_pair,
-            "distinct": doublet.is_distinct,
-        }
-        _emit(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["energy", "first", "second", "state_pair", "distinct"],
-                [[
-                    rep.energy,
-                    ":".join(frac_str(x) for x in doublet.first),
-                    ":".join(frac_str(x) for x in doublet.second),
-                    doublet.is_state_pair,
-                    doublet.is_distinct,
-                ]],
-            )
-        )
-    else:
-        first = f"({frac_str(doublet.first[0])},{frac_str(doublet.first[1])})"
-        second = f"({frac_str(doublet.second[0])},{frac_str(doublet.second[1])})"
-        note = "state pair" if pair else "not a state pair"
-        if not doublet.is_distinct:
-            note += ", members coincide"
-        _emit(f"E={rep.energy}  {first} {second}  [{note}]")
+    doc = {
+        "rep": [rep.v1, rep.v2, frac_str(rep.v3), frac_str(rep.v4)],
+        "energy": rep.energy,
+        "first": [frac_str(x) for x in doublet.first],
+        "second": [frac_str(x) for x in doublet.second],
+        "state_pair": doublet.is_state_pair,
+        "distinct": doublet.is_distinct,
+    }
+    _render(args, doc, ["energy", "first", "second", "state_pair", "distinct"],
+            [doc], _doublet_table)
     return 0
 
 
@@ -467,26 +362,14 @@ def cmd_braham_inverse(args: argparse.Namespace) -> int:
         nu = inverse_rep((args.n1, args.n2), (args.m1, args.m2), args.xi)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "pair": [[args.n1, args.n2], [args.m1, args.m2]],
-                    "xi": frac_str(args.xi),
-                    "nu": [frac_str(v) for v in nu],
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        _emit(
-            _csv_rows(
-                ["v1", "v2", "v3", "v4"],
-                [[frac_str(v) for v in nu]],
-            )
-        )
-    else:
-        _emit(" ".join(frac_str(v) for v in nu))
+    doc = {
+        "pair": [[args.n1, args.n2], [args.m1, args.m2]],
+        "xi": frac_str(args.xi),
+        "nu": [frac_str(v) for v in nu],
+    }
+    header = ["v1", "v2", "v3", "v4"]
+    _render(args, doc, header, [dict(zip(header, doc["nu"]))],
+            lambda doc, rows: [" ".join(doc["nu"])])
     return 0
 
 
@@ -494,17 +377,12 @@ def cmd_braham_inverse(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=FORMATS, default="table", help="output format"
-    )
+    fmt.add_argument("--format", choices=FORMATS, default="table", help="output format")
     emax = argparse.ArgumentParser(add_help=False)
     emax.add_argument("--emax", type=int, required=True)
     mode = argparse.ArgumentParser(add_help=False)
-    mode.add_argument(
-        "--mode",
-        choices=[m.value for m in RepMode],
-        default=RepMode.FACTORIZATION.value,
-    )
+    mode.add_argument("--mode", choices=[m.value for m in RepMode],
+                      default=RepMode.FACTORIZATION.value)
 
     parser = argparse.ArgumentParser(
         prog="triform",
@@ -560,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EmptySpectrumError as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":
