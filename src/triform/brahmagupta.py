@@ -22,7 +22,9 @@ only tuples whose doublet really is a pair of two distinct states; requiring
 integer doublet members up front would contradict the 16-item count, so the
 discrepancy is exposed as a mode switch instead of being painted over.
 
-Everything is exact rational arithmetic (`fractions.Fraction`); no floats.
+Everything is exact: integers, and `fractions.Fraction` for the tuples; no
+floats.  The search and the strict test work on the doubled integer
+coordinates a = 2*v3, b = 2*v4.
 """
 
 from __future__ import annotations
@@ -30,15 +32,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, energy_of, form_solutions
+from .spectrum import State, StateLike, energy_of, factorize, form_solutions_factored
 
 Rational = Union[int, str, Fraction]
 
 
 def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _doubled(half: Fraction) -> int:
+    """2*half for a half-integer `half`, as an int."""
+    return half.numerator * (2 // half.denominator)
 
 
 class RepMode(Enum):
@@ -97,18 +105,19 @@ class BrahmaguptaRep:
     energy: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v3", _frac(self.v3))
-        object.__setattr__(self, "v4", _frac(self.v4))
+        v3, v4 = _frac(self.v3), _frac(self.v4)
+        object.__setattr__(self, "v3", v3)
+        object.__setattr__(self, "v4", v4)
         if self.v1 < 1 or self.v2 < 1:
             raise ValueError("v1 and v2 must be positive integers")
-        for v in (self.v3, self.v4):
-            if v <= 0 or v.denominator > 2:
+        for v in (v3, v4):
+            if v.numerator <= 0 or v.denominator > 2:
                 raise ValueError(f"v3 and v4 must be positive half-integers, got {v}")
+        a, b = _doubled(v3), _doubled(v4)
         first = 3 * self.v1 * self.v1 + self.v2 * self.v2
-        second = 3 * self.v3 * self.v3 + self.v4 * self.v4
-        if first * second != self.energy:
+        if first * (3 * a * a + b * b) != 4 * self.energy:
             raise ValueError(
-                f"({self.v1},{self.v2},{self.v3},{self.v4}) does not factor {self.energy}"
+                f"({self.v1},{self.v2},{v3},{v4}) does not factor {self.energy}"
             )
 
     @property
@@ -162,10 +171,23 @@ def doublet_from_rep(rep: BrahmaguptaRep) -> Doublet:
     return Doublet(first, second, rep.energy)
 
 
+def _strict(v1: int, v2: int, a: int, b: int) -> bool:
+    """`is_strict` on the doubled coordinates a = 2*v3, b = 2*v4.
+
+    The doublet members are (|v1*b - v2*a|/2, (3*v1*a + v2*b)/2) and
+    ((v1*b + v2*a)/2, |3*v1*a - v2*b|/2); each entry must be a positive
+    integer, so each doubled entry a nonzero even number.  The members are
+    always distinct: with all four inputs positive, |v1*b - v2*a| is less
+    than v1*b + v2*a.
+    """
+    doubled = (abs(v1 * b - v2 * a), 3 * v1 * a + v2 * b,
+               v1 * b + v2 * a, abs(3 * v1 * a - v2 * b))
+    return all(x and x % 2 == 0 for x in doubled)
+
+
 def is_strict(rep: BrahmaguptaRep) -> bool:
     """True when the doublet of `rep` is two distinct positive-integer states."""
-    doublet = doublet_from_rep(rep)
-    return doublet.is_state_pair and doublet.is_distinct
+    return _strict(rep.v1, rep.v2, _doubled(rep.v3), _doubled(rep.v4))
 
 
 def signed_doublet(
@@ -184,50 +206,42 @@ def signed_doublet(
     )
 
 
-def _divisors(n: int) -> "list[int]":
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i * i != n:
-                ds.append(n // i)
-        i += 1
-    ds.sort()
-    return ds
-
-
 def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[BrahmaguptaRep]":
     """All representations of `energy`, sorted lexicographically by (v1, v2, v3, v4).
 
     Writing v3 = a/2 and v4 = b/2 with positive integers a, b turns the
     product equation into (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, so the
     first factor d1 runs over divisors of 4*E and the two factors are
-    enumerated independently.  Ordered tuples are distinct representations:
+    solved independently.  Ordered tuples are distinct representations:
     (1,2,2,1) and (2,1,1,2) both count.
 
-    Both factors are solved by `form_solutions`.  Strict mode keeps only the
-    representations that pass `is_strict`.  Returns [] when nothing
-    represents the energy.
+    4*E is factored once.  The divisors are walked as exponent vectors, and
+    each divisor and its cofactor are solved from their own factorizations
+    (`form_solutions_factored`), each solved once.  Divisors holding a prime
+    p = 2 (mod 3) to an odd power are skipped: no form value has one.
+    Strict mode keeps only the representations that pass `is_strict`.
+    Returns [] when nothing represents the energy.
     """
     if energy < 4:
         return []
-    reps = []
-    target = 4 * energy
-    for d1 in _divisors(target):
-        first_reps = form_solutions(d1)
-        if not first_reps:
+    factors = factorize(4 * energy)
+    ranges = [range(0, k + 1, 2) if p % 3 == 2 else range(k + 1) for p, k in factors]
+    solved = {
+        exps: form_solutions_factored([(p, e) for (p, _), e in zip(factors, exps) if e])
+        for exps in product(*ranges)
+    }
+    tuples = []
+    for exps, first in solved.items():
+        if not first:
             continue
-        second_reps = form_solutions(target // d1)
-        for v1, v2 in first_reps:
-            for a, b in second_reps:
-                reps.append(
-                    BrahmaguptaRep(v1, v2, Fraction(a, 2), Fraction(b, 2), energy)
-                )
+        cofactor = tuple(k - e for (_, k), e in zip(factors, exps))
+        for a, b in solved.get(cofactor, ()):
+            tuples.extend((v1, v2, a, b) for v1, v2 in first)
     if mode is RepMode.STRICT:
-        reps = [r for r in reps if is_strict(r)]
-    reps.sort(key=lambda r: r.key)
-    return reps
+        tuples = [t for t in tuples if _strict(*t)]
+    tuples.sort()
+    half = {n: Fraction(n, 2) for t in tuples for n in t[2:]}
+    return [BrahmaguptaRep(v1, v2, half[a], half[b], energy) for v1, v2, a, b in tuples]
 
 
 def inverse_rep(

@@ -200,21 +200,114 @@ def enumerate_spectrum(e_max: int) -> Spectrum:
     return Spectrum(e_max, buckets)
 
 
+def factorize(n: int) -> "list[tuple[int, int]]":
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending.
+
+    Trial division by 2, by 3, then along the 6k +- 1 wheel up to the square
+    root of the cofactor still left.  The divisions stop near the larger of
+    the second-largest prime factor and the square root of the largest, so
+    only an n with a huge prime factor costs up to sqrt(n) of them.
+    """
+    if n < 1:
+        raise ValueError(f"only positive integers factor, got {n}")
+    factors = []
+    for p in (2, 3):
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            factors.append((p, k))
+    p, step = 5, 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            factors.append((p, k))
+        p += step
+        step = 6 - step
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
+# Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2, held as pairs (a, b).
+# The norm is a^2 - a*b + b^2, and a + b*w with b = 2x even is y + x*sqrt(-3)
+# for y = a - x, of norm 3*x^2 + y^2.  The ring has unique factorization and
+# six units, so the elements of norm n are read off the primes of n.
+_UNITS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+def _mul(u: "tuple[int, int]", v: "tuple[int, int]") -> "tuple[int, int]":
+    (a, b), (c, d) = u, v
+    return (a * c - b * d, a * d + b * c - b * d)
+
+
+def _split_prime(p: int) -> "tuple[int, int]":
+    """An Eisenstein prime of norm p, for a prime p = 1 (mod 3).
+
+    c = g^((p-1)/3) != 1 is a cube root of unity mod p, so 2c + 1 is a
+    square root of -3 mod p; Cornacchia's algorithm then solves
+    u^2 + 3v^2 = p, and u + v*sqrt(-3) = (u + v) + 2v*w.
+    """
+    g = 2
+    while (c := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    a, b = p, (2 * c + 1) % p
+    while b * b > p:
+        a, b = b, a % b
+    v = math.isqrt((p - b * b) // 3)
+    return (b + v, 2 * v)
+
+
+def form_solutions_factored(factors: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
+    """`form_solutions` of the n whose factorization is `factors`."""
+    base = (1, 0)  # shared by every element of norm n
+    choices = []   # per split prime p^k: the k + 1 products pi^s * conj(pi)^(k-s)
+    for p, k in factors:
+        if p == 3:
+            for _ in range(k):
+                base = _mul(base, (1, -1))  # 1 - w, of norm 3
+        elif p % 3 == 2:
+            if k % 2:
+                return []  # an inert prime divides a norm to an even power
+            base = (base[0] * p ** (k // 2), base[1] * p ** (k // 2))
+        else:
+            pi = _split_prime(p)
+            bar = (pi[0] - pi[1], -pi[1])
+            powers, conj_powers = [(1, 0)], [(1, 0)]
+            for _ in range(k):
+                powers.append(_mul(powers[-1], pi))
+                conj_powers.append(_mul(conj_powers[-1], bar))
+            choices.append([_mul(powers[s], conj_powers[k - s]) for s in range(k + 1)])
+    elements = [base]
+    for options in choices:
+        elements = [_mul(e, o) for e in elements for o in options]
+    solutions = []
+    for element in elements:
+        for unit in _UNITS:
+            a, b = _mul(element, unit)
+            if b > 0 and b % 2 == 0 and a > b // 2:
+                solutions.append((b // 2, a - b // 2))
+    solutions.sort()
+    return solutions
+
+
 def form_solutions(n: int) -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
 
-    For each x up to sqrt((n-1)/3), tests n - 3*x^2 for being a perfect
-    square.  Empty for n < 4.
+    Factors n once (`factorize`) and builds every Eisenstein integer of norm
+    n from its primes: 3 contributes 1 - w, a prime p = 2 (mod 3) must occur
+    to an even power 2j and contributes p^j, and a prime p = 1 (mod 3)
+    splits as pi * conj(pi), found by Cornacchia's algorithm.  Times the six
+    units, the elements y + x*sqrt(-3) with x, y >= 1 are the solutions.
+    Empty for n < 4.
     """
-    solutions = []
-    x = 1
-    while 3 * x * x < n:
-        rest = n - 3 * x * x
-        y = math.isqrt(rest)
-        if y * y == rest:
-            solutions.append((x, y))
-        x += 1
-    return solutions
+    if n < 4:
+        return []
+    return form_solutions_factored(factorize(n))
 
 
 def level_of(energy: int) -> Optional[EnergyLevel]:

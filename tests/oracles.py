@@ -26,6 +26,19 @@ def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
     return dict(levels)
 
 
+def scan_form_solutions(n: int) -> "list[tuple[int, int]]":
+    """Literal scan: every x with 3*x^2 < n, kept when n - 3*x^2 is a square."""
+    solutions = []
+    x = 1
+    while 3 * x * x < n:
+        rest = n - 3 * x * x
+        y = math.isqrt(rest)
+        if y * y == rest:
+            solutions.append((x, y))
+        x += 1
+    return solutions
+
+
 def quadruple_loop_reps(energy: int) -> "list[tuple[int, int, Fraction, Fraction]]":
     """Literal quadruple loop over v1, v2 and doubled half-integers a, b."""
     reps = []

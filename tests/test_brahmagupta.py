@@ -20,6 +20,7 @@ from triform import (
     rep_search,
     signed_doublet,
 )
+from triform.brahmagupta import is_strict
 
 # all sixteen factorization reps of 91, frozen from the quadruple-loop oracle
 REPS_91 = [
@@ -129,6 +130,18 @@ def test_rep_validation():
         BrahmaguptaRep(1, 2, F(-2), F(1), 91)
 
 
+def test_rep_validation_is_exact_on_half_integers():
+    # (3 + 1) * (3/4 + 9/4) = 12: the product check must not round 13 to it
+    assert BrahmaguptaRep(1, 1, F(1, 2), F(3, 2), 12).key == (1, 1, F(1, 2), F(3, 2))
+    with pytest.raises(ValueError):
+        BrahmaguptaRep(1, 1, F(1, 2), F(3, 2), 13)
+    with pytest.raises(ValueError):
+        BrahmaguptaRep(1, 1, F(1, 3), F(3, 2), 12)  # a third, not a half
+    for v4 in (F(0), F(-3, 2), F(-1)):
+        with pytest.raises(ValueError):
+            BrahmaguptaRep(1, 1, F(1, 2), v4, 12)
+
+
 # --------------------------------------------------------------- rep search
 
 def test_rep_search_91_factorization():
@@ -140,6 +153,17 @@ def test_rep_search_91_factorization():
 
 def test_rep_search_91_strict():
     assert keys(rep_search(91, RepMode.STRICT)) == STRICT_91
+
+
+def test_is_strict_agrees_with_the_rational_doublet():
+    outcomes = set()
+    for energy in range(4, 3001):
+        for rep in rep_search(energy):
+            doublet = doublet_from_rep(rep)
+            expected = doublet.is_state_pair and doublet.is_distinct
+            assert is_strict(rep) == expected, rep
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_strict_reps_land_in_the_level():

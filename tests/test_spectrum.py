@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from triform import (
     parity_of,
     parity_of_energy,
 )
+from triform.spectrum import factorize, form_solutions
 
 
 @pytest.mark.parametrize(
@@ -165,3 +168,71 @@ def test_realized_energies_never_2_mod_4(n1, n2):
 def test_every_state_appears_in_its_level(n1, n2):
     level = level_of(energy_of((n1, n2)))
     assert State(n1, n2) in level.states
+
+
+# ------------------------------------------------------------- form solver
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_factorize_rebuilds_n_from_primes():
+    for n in range(1, 3001):
+        factors = factorize(n)
+        product = 1
+        for p, k in factors:
+            assert _is_prime(p) and k >= 1
+            product *= p ** k
+        assert product == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
+def test_form_solutions_match_scan_up_to_20000():
+    for n in range(-2, 20001):
+        assert form_solutions(n) == oracles.scan_form_solutions(n), n
+
+
+def test_form_solutions_match_scan_on_a_seeded_sample():
+    rng = random.Random(20240)
+    sample = [rng.randint(4, 4 * 10**9) for _ in range(30)]
+    # realized values and products of two, which have many solutions
+    for _ in range(30):
+        x = rng.randint(1, 36000)
+        y = rng.randint(1, math.isqrt(4 * 10**9 - 3 * x * x))
+        sample.append(3 * x * x + y * y)
+    for _ in range(30):
+        x1, y1, x2, y2 = (rng.randint(1, 150) for _ in range(4))
+        sample.append((3 * x1 * x1 + y1 * y1) * (3 * x2 * x2 + y2 * y2))
+    assert sum(bool(form_solutions(n)) for n in sample) >= 60
+    for n in sample:
+        assert form_solutions(n) == oracles.scan_form_solutions(n), n
+
+
+STRUCTURED = (
+    [3**k for k in range(1, 17)]
+    + [p * p for p in (2, 5, 11, 17, 23, 29, 41, 47, 53, 59)]
+    + [5**4, 11**4, 2**6 * 7, 4 * 25 * 13]
+    + [7**k for k in range(1, 9)] + [13**k for k in range(1, 7)]
+    + [7**3 * 13**2, 3 * 7**2 * 19**2, 4 * 7 * 13 * 19 * 31]
+    + [4 * p for p in (7, 13, 19, 5, 11, 10007, 99991, 1000003)]
+    + [4 * k + 2 for k in range(1, 400, 37)] + [2 * 7**4, 2 * 3**7]
+)
+
+
+@pytest.mark.parametrize("n", STRUCTURED)
+def test_form_solutions_match_scan_on_structured_n(n):
+    solutions = form_solutions(n)
+    assert solutions == oracles.scan_form_solutions(n)
+    if n % 4 == 2:
+        assert solutions == []
+
+
+@pytest.mark.parametrize("energy", [energy_of((12345, 23456)), 3 * 7**4 * 13**2 * 37**2,
+                                    energy_of((500000, 300000)), 10**12])
+def test_level_of_large_energies_match_scan(energy):
+    level = level_of(energy)
+    expected = oracles.scan_form_solutions(energy)
+    assert expected and [tuple(s) for s in level.states] == expected
