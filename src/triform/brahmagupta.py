@@ -165,9 +165,9 @@ class Doublet:
 
 def doublet_from_rep(rep: BrahmaguptaRep) -> Doublet:
     """Doublet (|v1*v4 - v2*v3|, 3*v1*v3 + v2*v4), (v1*v4 + v2*v3, |3*v1*v3 - v2*v4|)."""
-    v1, v2, v3, v4 = Fraction(rep.v1), Fraction(rep.v2), rep.v3, rep.v4
-    first = (abs(v1 * v4 - v2 * v3), 3 * v1 * v3 + v2 * v4)
-    second = (v1 * v4 + v2 * v3, abs(3 * v1 * v3 - v2 * v4))
+    first, second = (
+        tuple(map(abs, form)) for form in signed_doublet(rep.v1, rep.v2, rep.v3, rep.v4)
+    )
     return Doublet(first, second, rep.energy)
 
 
@@ -197,13 +197,11 @@ def signed_doublet(
 
     ((v1*v4 - v2*v3, 3*v1*v3 + v2*v4), (v1*v4 + v2*v3, 3*v1*v3 - v2*v4)),
     defined for arbitrary rationals.  This is the exact map the inverse
-    construction round-trips through.
+    construction round-trips through.  These are the two forms of
+    `identity_expand` at m = 3.
     """
-    v1, v2, v3, v4 = (_frac(x) for x in (v1, v2, v3, v4))
-    return (
-        (v1 * v4 - v2 * v3, 3 * v1 * v3 + v2 * v4),
-        (v1 * v4 + v2 * v3, 3 * v1 * v3 - v2 * v4),
-    )
+    expansion = identity_expand(3, v1, v2, v3, v4)
+    return (expansion.minus_form, expansion.plus_form)
 
 
 def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[BrahmaguptaRep]":

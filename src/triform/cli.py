@@ -33,6 +33,7 @@ from .brahmagupta import (
     RepMode,
     classify_rep,
     doublet_from_rep,
+    identity_expand,
     inverse_rep,
     is_strict,
     rep_search,
@@ -46,13 +47,15 @@ from .census import (  # noqa: F401
     doublet_coverage,
 )
 from .perrin import match_perrin
-from .spectrum import EmptySpectrumError, Parity, enumerate_spectrum, level_of
+from .spectrum import (
+    EmptySpectrumError,
+    Parity,
+    enumerate_spectrum,
+    level_of,
+    parity_of_energy,
+)
 
 FORMATS = ("table", "json", "csv")
-
-
-def frac_str(value) -> str:
-    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -101,12 +104,12 @@ def _states_human(states) -> str:
 
 # ---------------------------------------------------------------- spectrum
 
-def _level_record(level) -> dict:
+def _level_record(energy: int, states) -> dict:
     return {
-        "energy": level.energy,
-        "parity": level.parity.value,
-        "degeneracy": level.degeneracy,
-        "states": [[a, b] for a, b in level.states],
+        "energy": energy,
+        "parity": parity_of_energy(energy).value,
+        "degeneracy": len(states),
+        "states": [[a, b] for a, b in states],
     }
 
 
@@ -120,9 +123,9 @@ def _spectrum_table(doc: dict, levels: "list[dict]") -> "list[str]":
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     levels = [
-        _level_record(level)
-        for level in enumerate_spectrum(args.emax).iter_levels()
-        if not args.only_degenerate or level.degeneracy >= 2
+        _level_record(energy, states)
+        for energy, states in enumerate_spectrum(args.emax).raw_items()
+        if not args.only_degenerate or len(states) >= 2
     ]
     doc = {"e_max": args.emax, "levels": levels}
     _render(args, doc, ["energy", "parity", "degeneracy", "states"], levels,
@@ -202,9 +205,9 @@ def cmd_level(args: argparse.Namespace) -> int:
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
     doc = {
-        **_level_record(level),
+        **_level_record(level.energy, level.states),
         "perrin_seed": [seed.m1, seed.m2] if seed else None,
-        "reps": [[r.v1, r.v2, frac_str(r.v3), frac_str(r.v4)] for r in reps],
+        "reps": [[r.v1, r.v2, str(r.v3), str(r.v4)] for r in reps],
         "rep_counts": {
             "factorization": len(reps),
             "all_integer": sum(classify_rep(r) is RepClass.ALL_INTEGER for r in reps),
@@ -313,7 +316,7 @@ def cmd_braham_reps(args: argparse.Namespace) -> int:
         return _fail_usage("energy must be at least 4")
     mode = RepMode(args.mode)
     reps = [
-        {"v1": r.v1, "v2": r.v2, "v3": frac_str(r.v3), "v4": frac_str(r.v4),
+        {"v1": r.v1, "v2": r.v2, "v3": str(r.v3), "v4": str(r.v4),
          "class": classify_rep(r).value}
         for r in rep_search(args.energy, mode)
     ]
@@ -324,9 +327,8 @@ def cmd_braham_reps(args: argparse.Namespace) -> int:
 
 def _doublet_table(doc: dict, rows: "list[dict]") -> "list[str]":
     first, second = doc["first"], doc["second"]
+    # A valid rep has positive entries, so the two members always differ.
     note = "state pair" if doc["state_pair"] else "not a state pair"
-    if not doc["distinct"]:
-        note += ", members coincide"
     return [
         f"E={doc['energy']}  ({first[0]},{first[1]}) ({second[0]},{second[1]})"
         f"  [{note}]"
@@ -334,30 +336,25 @@ def _doublet_table(doc: dict, rows: "list[dict]") -> "list[str]":
 
 
 def cmd_braham_doublet(args: argparse.Namespace) -> int:
+    product = identity_expand(3, args.v1, args.v2, args.v3, args.v4).product
+    if product.denominator != 1:
+        return _fail_usage(f"tuple does not factor an integer energy (got {product})")
     try:
-        rep = BrahmaguptaRep(args.v1, args.v2, args.v3, args.v4, _rep_energy(args))
+        rep = BrahmaguptaRep(args.v1, args.v2, args.v3, args.v4, product.numerator)
     except ValueError as exc:
         return _fail_usage(str(exc))
     doublet = doublet_from_rep(rep)
     doc = {
-        "rep": [rep.v1, rep.v2, frac_str(rep.v3), frac_str(rep.v4)],
+        "rep": [rep.v1, rep.v2, str(rep.v3), str(rep.v4)],
         "energy": rep.energy,
-        "first": [frac_str(x) for x in doublet.first],
-        "second": [frac_str(x) for x in doublet.second],
+        "first": [str(x) for x in doublet.first],
+        "second": [str(x) for x in doublet.second],
         "state_pair": doublet.is_state_pair,
         "distinct": doublet.is_distinct,
     }
     _render(args, doc, ["energy", "first", "second", "state_pair", "distinct"],
             [doc], _doublet_table)
     return 0
-
-
-def _rep_energy(args: argparse.Namespace) -> int:
-    v3, v4 = Fraction(args.v3), Fraction(args.v4)
-    product = (3 * args.v1 * args.v1 + args.v2 * args.v2) * (3 * v3 * v3 + v4 * v4)
-    if product.denominator != 1:
-        raise ValueError(f"tuple does not factor an integer energy (got {product})")
-    return int(product)
 
 
 def cmd_braham_inverse(args: argparse.Namespace) -> int:
@@ -367,8 +364,8 @@ def cmd_braham_inverse(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     doc = {
         "pair": [[args.n1, args.n2], [args.m1, args.m2]],
-        "xi": frac_str(args.xi),
-        "nu": [frac_str(v) for v in nu],
+        "xi": str(args.xi),
+        "nu": [str(v) for v in nu],
     }
     header = ["v1", "v2", "v3", "v4"]
     _render(args, doc, header, [dict(zip(header, doc["nu"]))],

@@ -69,7 +69,9 @@ class EnergyLevel:
     """The complete set of states sharing one energy, sorted by ascending n1.
 
     n1 values within a level are necessarily distinct (n2 is determined up
-    to sign by n1 and the energy), so the sort order is strict.
+    to sign by n1 and the energy), so the sort order is strict.  The states
+    need no parity check: 3*n1^2 + n2^2 = n1 + n2 (mod 2), so the energy
+    alone fixes the relative parity of every state.
     """
 
     energy: int
@@ -79,16 +81,12 @@ class EnergyLevel:
         if not self.states:
             raise ValueError("an energy level holds at least one state")
         prev = 0
-        pbit = sum(self.states[0]) % 2
         for s in self.states:
-            a, b = s
             if energy_of(s) != self.energy:
                 raise ValueError(f"state {s} does not have energy {self.energy}")
-            if a <= prev:
+            if s[0] <= prev:
                 raise ValueError("states must be strictly ascending in n1")
-            if (a + b) % 2 != pbit:
-                raise ValueError(f"mixed index parity within level {self.energy}")
-            prev = a
+            prev = s[0]
 
     @property
     def degeneracy(self) -> int:
@@ -117,7 +115,7 @@ class Spectrum(Mapping):
     fast and well under a gigabyte.  Safe for unlimited concurrent readers.
     """
 
-    __slots__ = ("_e_max", "_buckets", "_energies", "_state_count")
+    __slots__ = ("_e_max", "_buckets", "_energies")
 
     def __init__(self, e_max: int, buckets: "dict[int, list[tuple[int, int]]]"):
         # Internal constructor: use enumerate_spectrum().  Buckets map
@@ -125,7 +123,6 @@ class Spectrum(Mapping):
         self._e_max = e_max
         self._buckets = buckets
         self._energies = sorted(buckets)
-        self._state_count = sum(len(v) for v in buckets.values())
 
     @property
     def e_max(self) -> int:
@@ -133,7 +130,7 @@ class Spectrum(Mapping):
 
     @property
     def state_count(self) -> int:
-        return self._state_count
+        return sum(map(len, self._buckets.values()))
 
     def __len__(self) -> int:
         return len(self._energies)
@@ -169,7 +166,7 @@ class Spectrum(Mapping):
     def __repr__(self) -> str:
         return (
             f"Spectrum(e_max={self._e_max}, levels={len(self._energies)}, "
-            f"states={self._state_count})"
+            f"states={self.state_count})"
         )
 
 

@@ -114,3 +114,44 @@ def inverse_rep_mixed_variant(first, second, xi):
     v3 = 1 / (6 * xi)
     v4 = Fraction(q1 + p1, 2 * (q2 + p2)) / xi
     return (v1, v2, v3, v4)
+
+
+# Divisor-sum count of x^2 + 3y^2 = n over all integers x, y (Cox; Berndt):
+#     r(n) = 2*(d_{1,3}(n) - d_{2,3}(n)) + 4*(d_{4,12}(n) - d_{8,12}(n)),
+# where d_{a,m}(n) counts the divisors of n that are a (mod m).  A divisor's
+# term depends only on it mod 12.
+_DIVISOR_WEIGHT = [0, 2, -2, 0, 6, -2, 0, 2, -6, 0, 2, -2]
+
+
+def _is_square(n: int) -> bool:
+    return math.isqrt(n) ** 2 == n
+
+
+def _states_from_r(n: int, r: int) -> int:
+    """States (n1, n2 >= 1) of energy n from r(n): drop the solutions on the
+    axes, x^2 = n and 3y^2 = n, then the four sign choices."""
+    axes = 2 * _is_square(n) + 2 * (n % 3 == 0 and _is_square(n // 3))
+    assert (r - axes) % 4 == 0, n
+    return (r - axes) // 4
+
+
+def divisor_sum_degeneracy(n: int) -> int:
+    """Number of states of energy n, from the divisors of n by trial division."""
+    r = 0
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            r += _DIVISOR_WEIGHT[d % 12]
+            if d * d != n:
+                r += _DIVISOR_WEIGHT[(n // d) % 12]
+    return _states_from_r(n, r)
+
+
+def divisor_sum_degeneracies(n_max: int) -> "list[int]":
+    """Number of states of every energy 0..n_max (index = energy), by a divisor sieve."""
+    r = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        w = _DIVISOR_WEIGHT[d % 12]
+        if w:
+            for m in range(d, n_max + 1, d):
+                r[m] += w
+    return [0] + [_states_from_r(n, r[n]) for n in range(1, n_max + 1)]

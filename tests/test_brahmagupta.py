@@ -160,6 +160,7 @@ def test_is_strict_agrees_with_the_rational_doublet():
     for energy in range(4, 3001):
         for rep in rep_search(energy):
             doublet = doublet_from_rep(rep)
+            assert doublet.is_distinct, rep  # |v1*v4 - v2*v3| < v1*v4 + v2*v3
             expected = doublet.is_state_pair and doublet.is_distinct
             assert is_strict(rep) == expected, rep
             outcomes.add(expected)

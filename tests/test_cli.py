@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from triform import RepMode, rep_search
-from triform.cli import frac_str, main, parse_rational
+from triform import RepMode, enumerate_spectrum, parity_of, rep_search
+from triform.cli import main, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,19 @@ def test_spectrum_2700_count(capsys):
     assert len(rows) == 655
     assert rows[0]["energy"] == "4"
     assert rows[0]["states"] == "1:1"
+
+
+@pytest.mark.parametrize("flags", [[], ["--only-degenerate"]])
+def test_spectrum_json_matches_materialized_levels(capsys, flags):
+    code, out, _ = run_cli(capsys, "spectrum", "--emax", "5000", "--format", "json", *flags)
+    assert code == 0
+    expected = [
+        {"energy": level.energy, "parity": parity_of(level).value,
+         "degeneracy": level.degeneracy, "states": [list(s) for s in level.states]}
+        for level in enumerate_spectrum(5000).iter_levels()
+        if not flags or level.degeneracy >= 2
+    ]
+    assert json.loads(out)["levels"] == expected
 
 
 def test_spectrum_usage_error(capsys):
@@ -161,7 +174,7 @@ def test_level_json_rep_counts(capsys, energy):
     assert doc["rep_counts"] == rep_counts
     assert rep_counts["strict"] == len(rep_search(energy, RepMode.STRICT))
     assert doc["reps"] == [
-        [r.v1, r.v2, frac_str(r.v3), frac_str(r.v4)] for r in rep_search(energy)
+        [r.v1, r.v2, str(r.v3), str(r.v4)] for r in rep_search(energy)
     ]
 
 
@@ -307,9 +320,9 @@ def test_module_entry_point_matches_function():
 
 def test_rational_round_trip():
     for value in (F(1, 2), F(3, 2), F(7), F(19, 2), F(13, 6)):
-        assert parse_rational(frac_str(value)) == value
-    assert frac_str(F(3, 2)) == "3/2"
-    assert frac_str(F(4, 2)) == "2"
+        assert parse_rational(str(value)) == value
+    assert str(F(3, 2)) == "3/2"
+    assert str(F(4, 2)) == "2"
 
 
 def test_bad_rational_is_usage_error(capsys):

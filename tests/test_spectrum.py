@@ -236,3 +236,22 @@ def test_level_of_large_energies_match_scan(energy):
     level = level_of(energy)
     expected = oracles.scan_form_solutions(energy)
     assert expected and [tuple(s) for s in level.states] == expected
+
+
+# ------------------------------------------------------ divisor-sum oracle
+
+def test_degeneracy_matches_the_divisor_sum_up_to_10_6():
+    spectrum = enumerate_spectrum(10**6)
+    expected = oracles.divisor_sum_degeneracies(10**6)
+    assert [spectrum.degeneracy_of(n) for n in range(10**6 + 1)] == expected
+
+
+def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
+    rng = random.Random(1011)
+    energies = []
+    while len(energies) < 20:
+        energy = energy_of((rng.randint(1, 182574), rng.randint(1, 316227)))
+        if 10**9 <= energy <= 10**11:
+            energies.append(energy)
+    for energy in energies:
+        assert len(form_solutions(energy)) == oracles.divisor_sum_degeneracy(energy), energy
