@@ -14,11 +14,11 @@ enumerated range.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 
 from .brahmagupta import RepClass, RepMode, classify_rep, rep_search
-from .perrin import find_seed, match_perrin
+from .perrin import match_perrin
 from .spectrum import Parity, Spectrum
 
 # Table-style reports always pad degeneracy rows out to these minimums so a
@@ -70,8 +70,19 @@ class CensusReport:
 def build_census(spectrum: Spectrum) -> CensusReport:
     """Exact degeneracy-by-parity histogram plus conjecture tallies.
 
-    Deterministic.  The Perrin tally runs the seed scan (`find_seed`) on the
-    raw states of every same-parity 3-fold level, building no EnergyLevel.
+    Reads only the count table (`Spectrum.degeneracies`), never a state.
+    Same-parity energies are E = 0 (mod 4), the slice c[0::4], and
+    opposite-parity energies are the odd E, the slice c[1::2]; each row of
+    the histogram is one `bytes.count` over a slice.
+
+    Perrin tally: a same-parity 3-fold level holds a triplet exactly when
+    some seed (m1, m2), m2 > m1 >= 1, has its energy 4*(m1^2 + m1*m2 + m2^2),
+    because the seed's triplet is then three distinct states of the level,
+    which has no others.  So the seed walk zeroes the entry q = E/4 of every
+    seed energy in a copy of c[0::4], and every entry still equal to 3 is a
+    counterexample at E = 4q.  `find_seed` over the states is the
+    independent route (`check_perrin_conjecture`).
+
     Doublet coverage needs no search at all: each level state (n1, n2)
     witnesses the representation (1, 1, n1/2, n2/2) of its own energy,
     since (3+1)*(3*n1^2+n2^2)/4 = E, so every doublet level is covered and
@@ -79,24 +90,31 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     full search-based checker (`check_brahmagupta_conjecture`) is the slow,
     independent route.
     """
-    hist: "Counter[tuple[Parity, int]]" = Counter()
-    perrin_exceptions = []
-    for energy, states in spectrum.raw_items():
-        g = len(states)
-        same = energy % 4 == 0
-        hist[(Parity.SAME if same else Parity.OPPOSITE, g)] += 1
-        if same and g == 3 and find_seed(states) is None:
-            perrin_exceptions.append(energy)
-    perrin_total = hist[(Parity.SAME, 3)]
-    doublet_total = hist[(Parity.OPPOSITE, 2)]
+    counts = spectrum.degeneracies()
+    by_parity = {Parity.SAME: counts[0::4], Parity.OPPOSITE: counts[1::2]}
 
     rows = []
-    for parity in (Parity.SAME, Parity.OPPOSITE):
-        observed = [g for (p, g) in hist if p is parity]
-        top = max([_MIN_ROWS[parity], *observed])
+    for parity, slice_ in by_parity.items():
+        top = max(_MIN_ROWS[parity], max(slice_))
         for g in range(1, top + 1):
-            levels = hist.get((parity, g), 0)
+            levels = slice_.count(g)
             rows.append(CensusRow(parity, g, levels, levels * g))
+
+    unmatched = bytearray(by_parity[Parity.SAME])
+    q_max = spectrum.e_max // 4
+    m1 = 1
+    while 3 * m1 * m1 + 3 * m1 + 1 <= q_max:  # the seed (m1, m1 + 1) fits
+        for m2 in range(m1 + 1, (math.isqrt(4 * q_max - 3 * m1 * m1) - m1) // 2 + 1):
+            unmatched[m1 * m1 + m1 * m2 + m2 * m2] = 0
+        m1 += 1
+    perrin_exceptions = []
+    q = unmatched.find(3)
+    while q >= 0:
+        perrin_exceptions.append(4 * q)
+        q = unmatched.find(3, q + 1)
+
+    perrin_total = by_parity[Parity.SAME].count(3)
+    doublet_total = by_parity[Parity.OPPOSITE].count(2)
     return CensusReport(
         e_max=spectrum.e_max,
         rows=tuple(rows),

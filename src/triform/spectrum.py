@@ -110,77 +110,121 @@ def parity_of(level: EnergyLevel) -> Parity:
 class Spectrum(Mapping):
     """Immutable map from energy to :class:`EnergyLevel` for all E <= e_max.
 
-    Iteration yields energies in ascending order.  Levels are materialized
-    lazily from compact internal buckets, so building at e_max = 10^7 stays
-    fast and well under a gigabyte.  Safe for unlimited concurrent readers.
+    Iteration yields energies in ascending order.  Nothing is enumerated at
+    construction; each of two stores is built on first use and cached:
+
+    * the count table (`degeneracies`), one byte per energy, serves the
+      count reads: `len`, `state_count`, `degeneracy_of` and `in`;
+    * the buckets, the (n1, n2) pairs of every level, serve the per-state
+      reads: iteration, `[]`, `iter_levels` and `raw_items`.
+
+    Count reads never build the buckets, so a census at e_max = 10^7 needs
+    about 10 MB where the buckets would take about 165 B per state.  Both
+    stores are pure functions of e_max, so concurrent readers that race to
+    build one build the same value and stay safe.
     """
 
-    __slots__ = ("_e_max", "_buckets", "_energies")
+    __slots__ = ("_e_max", "_buckets", "_energies", "_counts")
 
-    def __init__(self, e_max: int, buckets: "dict[int, list[tuple[int, int]]]"):
-        # Internal constructor: use enumerate_spectrum().  Buckets map
-        # energy -> list of (n1, n2) already ascending in n1.
+    def __init__(
+        self, e_max: int, buckets: "Optional[dict[int, list[tuple[int, int]]]]" = None
+    ):
+        # Internal constructor: use enumerate_spectrum().  Explicit buckets
+        # map energy -> list of (n1, n2) already ascending in n1, and then
+        # the count table is read off their lengths.
         self._e_max = e_max
         self._buckets = buckets
-        self._energies = sorted(buckets)
+        self._energies = None if buckets is None else sorted(buckets)
+        self._counts: "Optional[bytes]" = None
 
     @property
     def e_max(self) -> int:
         return self._e_max
 
+    def degeneracies(self) -> bytes:
+        """Number of states of every energy 0..e_max, one byte each (index = energy).
+
+        One stripe pass: for each n1, add 1 at 3*n1^2 + k^2 for every square
+        k^2 that fits; a spectrum built from explicit buckets reads the
+        table off their lengths instead.
+
+        A byte holds 255 states at most, and a count above that raises
+        ValueError rather than wrapping.  Realized degeneracies stay far
+        below it: g(E) = floor(eps(E) * d(E) / 2), with d(E) the divisor
+        count over the primes p = 1 (mod 3), first passes 255 only near
+        E = 10^12 (the largest g is 108 up to 10^9 and 216 up to 10^11).
+        """
+        if self._counts is None:
+            counts = bytearray(self._e_max + 1)
+            if self._buckets is not None:
+                for energy, states in self._buckets.items():
+                    counts[energy] = len(states)
+            else:
+                squares = [k * k for k in range(1, math.isqrt(self._e_max) + 1)]
+                for n1 in range(1, math.isqrt((self._e_max - 1) // 3) + 1):
+                    base = 3 * n1 * n1
+                    for square in squares[: math.isqrt(self._e_max - base)]:
+                        counts[base + square] += 1
+            self._counts = bytes(counts)
+        return self._counts
+
+    def _built_buckets(self) -> "dict[int, list[tuple[int, int]]]":
+        if self._buckets is None:
+            self._buckets = _stripe_buckets(self._e_max)
+            self._energies = sorted(self._buckets)
+        return self._buckets
+
     @property
     def state_count(self) -> int:
-        return sum(map(len, self._buckets.values()))
+        return sum(self.degeneracies())
 
     def __len__(self) -> int:
-        return len(self._energies)
+        counts = self.degeneracies()
+        return len(counts) - counts.count(0)
 
     def __iter__(self) -> Iterator[int]:
+        self._built_buckets()
         return iter(self._energies)
 
     def __contains__(self, energy: object) -> bool:
-        return energy in self._buckets
+        return self.degeneracy_of(energy) > 0
 
     def __getitem__(self, energy: int) -> EnergyLevel:
-        bucket = self._buckets[energy]
+        bucket = self._built_buckets()[energy]
         return EnergyLevel(energy, tuple(State(a, b) for a, b in bucket))
 
     def iter_levels(self) -> Iterator[EnergyLevel]:
         """All levels in ascending energy order."""
-        for e in self._energies:
+        for e in self:
             yield self[e]
 
-    def degeneracy_of(self, energy: int) -> int:
+    def degeneracy_of(self, energy: object) -> int:
         """Number of states at `energy`, 0 when the energy is not realized."""
-        bucket = self._buckets.get(energy)
-        return len(bucket) if bucket else 0
+        if isinstance(energy, int) and 0 <= energy <= self._e_max:
+            return self.degeneracies()[energy]
+        return 0
 
     def raw_items(self) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
         """(energy, states-as-int-pairs) in ascending energy, no materialization.
 
         The lists are internal storage and must not be mutated.
         """
+        buckets = self._built_buckets()
         for e in self._energies:
-            yield e, self._buckets[e]
+            yield e, buckets[e]
 
     def __repr__(self) -> str:
         return (
-            f"Spectrum(e_max={self._e_max}, levels={len(self._energies)}, "
+            f"Spectrum(e_max={self._e_max}, levels={len(self)}, "
             f"states={self.state_count})"
         )
 
 
-def enumerate_spectrum(e_max: int) -> Spectrum:
-    """Every state with energy <= e_max, grouped into levels.
+def _stripe_buckets(e_max: int) -> "dict[int, list[tuple[int, int]]]":
+    """Every state with energy <= e_max, bucketed by energy.
 
-    Stripes over n1 (so each bucket is built already sorted by n1) and
-    accumulates by energy.  Deterministic; the result is independent of
-    evaluation order by construction.
-
-    Raises :class:`EmptySpectrumError` for e_max < 4, where no state exists.
+    Stripes over n1, so each bucket is built already sorted by n1.
     """
-    if e_max < 4:
-        raise EmptySpectrumError(f"no states below E=4 (got e_max={e_max})")
     buckets: "dict[int, list[tuple[int, int]]]" = {}
     get = buckets.get
     n1 = 1
@@ -194,7 +238,21 @@ def enumerate_spectrum(e_max: int) -> Spectrum:
             else:
                 bucket.append((n1, n2))
         n1 += 1
-    return Spectrum(e_max, buckets)
+    return buckets
+
+
+def enumerate_spectrum(e_max: int) -> Spectrum:
+    """The spectrum of every state with energy <= e_max, built lazily.
+
+    Returns at once: the count table and the buckets are each built on the
+    first read that needs them (see :class:`Spectrum`).  Deterministic; the
+    result is independent of evaluation order by construction.
+
+    Raises :class:`EmptySpectrumError` for e_max < 4, where no state exists.
+    """
+    if e_max < 4:
+        raise EmptySpectrumError(f"no states below E=4 (got e_max={e_max})")
+    return Spectrum(e_max)
 
 
 def factorize(n: int) -> "list[tuple[int, int]]":

@@ -8,8 +8,12 @@ tests were computed with these functions.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
+
+from triform.census import _MIN_ROWS, CensusReport, CensusRow
+from triform.perrin import find_seed
+from triform.spectrum import Parity, Spectrum
 
 
 def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
@@ -24,6 +28,40 @@ def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
                 break
             levels[e].append((n1, n2))
     return dict(levels)
+
+
+def bucket_census(spectrum: Spectrum) -> CensusReport:
+    """The census from the states themselves: walk every level's bucket,
+    histogram the bucket lengths by parity, and run the seed scan
+    (`find_seed`) on the states of every same-parity 3-fold level."""
+    hist: "Counter[tuple[Parity, int]]" = Counter()
+    perrin_exceptions = []
+    for energy, states in spectrum.raw_items():
+        g = len(states)
+        same = energy % 4 == 0
+        hist[(Parity.SAME if same else Parity.OPPOSITE, g)] += 1
+        if same and g == 3 and find_seed(states) is None:
+            perrin_exceptions.append(energy)
+    perrin_total = hist[(Parity.SAME, 3)]
+    doublet_total = hist[(Parity.OPPOSITE, 2)]
+
+    rows = []
+    for parity in (Parity.SAME, Parity.OPPOSITE):
+        observed = [g for (p, g) in hist if p is parity]
+        top = max([_MIN_ROWS[parity], *observed])
+        for g in range(1, top + 1):
+            levels = hist.get((parity, g), 0)
+            rows.append(CensusRow(parity, g, levels, levels * g))
+    return CensusReport(
+        e_max=spectrum.e_max,
+        rows=tuple(rows),
+        perrin_total=perrin_total,
+        perrin_matched=perrin_total - len(perrin_exceptions),
+        perrin_exceptions=tuple(perrin_exceptions),
+        brahmagupta_total=doublet_total,
+        brahmagupta_covered=doublet_total,
+        brahmagupta_exceptions=(),
+    )
 
 
 def scan_form_solutions(n: int) -> "list[tuple[int, int]]":

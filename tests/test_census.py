@@ -1,12 +1,15 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from triform import (
     BrahmaguptaRep,
     CensusRow,
     Parity,
     RepMode,
+    Spectrum,
     build_census,
     check_brahmagupta_conjecture,
     check_perrin_conjecture,
@@ -56,6 +59,52 @@ def test_doublet_witness_lemma(spectrum_2700):
         n1, n2 = level.states[0]
         witness = BrahmaguptaRep(1, 1, F(n1, 2), F(n2, 2), level.energy)
         assert witness in rep_search(level.energy)
+
+
+def test_census_equals_the_bucket_census_up_to_400():
+    for e_max in range(4, 401):
+        spectrum = enumerate_spectrum(e_max)
+        assert build_census(spectrum) == oracles.bucket_census(spectrum), e_max
+
+
+@pytest.mark.parametrize("e_max", [2700, 10**5, 10**6])
+def test_census_equals_the_bucket_census(e_max):
+    # separate spectra, so the count table and the buckets are each built afresh
+    report = build_census(enumerate_spectrum(e_max))
+    assert report == oracles.bucket_census(enumerate_spectrum(e_max))
+
+
+def test_census_of_explicit_buckets_equals_the_bucket_census():
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    spectrum = Spectrum(3000, buckets)
+    assert build_census(spectrum) == oracles.bucket_census(spectrum)
+
+
+def test_census_reports_a_3_fold_level_no_seed_reaches():
+    # The smallest seed energy is 28, so a 3-fold level at E = 4 has no triplet.
+    buckets = {e: list(states) for e, states in enumerate_spectrum(400).raw_items()}
+    buckets[4] = [(1, 1), (2, 2), (3, 3)]
+    spectrum = Spectrum(400, buckets)
+    report = build_census(spectrum)
+    assert report.perrin_exceptions == (4,)
+    assert report.perrin_matched < report.perrin_total
+    assert report == oracles.bucket_census(spectrum)
+
+
+def test_census_builds_no_buckets():
+    tracemalloc.start()
+    try:
+        spectrum = enumerate_spectrum(10**6)
+        report = build_census(spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.perrin_exceptions == ()
+    assert len(spectrum) > 0 and spectrum.state_count > 0
+    assert spectrum.degeneracy_of(28) == 3
+    assert spectrum._buckets is None
+    # the buckets would take about 165 MB at this size
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_census_28():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from triform import RepMode, enumerate_spectrum, parity_of, rep_search
-from triform.cli import main, parse_rational
+from triform.cli import build_parser, main, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -335,3 +335,17 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, stream", [
+    (["--help"], "out"), (["census", "--help"], "out"), (["braham", "reps", "--help"], "out"),
+    (["census"], "err"), (["level", "x"], "err"), (["frobnicate"], "err"),
+])
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, argv, stream):
+    # main reuses one parser; every call must print what a new parser prints
+    printed = []
+    for parse in (main, main, build_parser().parse_args):
+        with pytest.raises(SystemExit):
+            parse(argv)
+        printed.append(getattr(capsys.readouterr(), stream))
+    assert printed[0] and printed[0] == printed[1] == printed[2]

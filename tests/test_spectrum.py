@@ -11,6 +11,7 @@ from triform import (
     EmptySpectrumError,
     EnergyLevel,
     Parity,
+    Spectrum,
     State,
     energy_of,
     enumerate_spectrum,
@@ -145,6 +146,31 @@ def test_spectrum_is_a_mapping(spectrum_2700):
         spectrum_2700[5]
     energies = list(spectrum_2700)
     assert energies == sorted(energies)
+
+
+def test_count_reads_outside_the_range(spectrum_2700):
+    for energy in (-1, -2700, 0, 2701, 10**9, "28", None):
+        assert energy not in spectrum_2700
+        assert spectrum_2700.degeneracy_of(energy) == 0
+
+
+def test_degeneracies_table(spectrum_2700, naive_2700):
+    counts = spectrum_2700.degeneracies()
+    assert isinstance(counts, bytes) and len(counts) == 2701
+    assert counts == bytes(len(naive_2700.get(e, ())) for e in range(2701))
+    assert spectrum_2700.degeneracies() is counts
+
+
+def test_degeneracies_read_off_explicit_buckets():
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    assert Spectrum(3000, buckets).degeneracies() == enumerate_spectrum(3000).degeneracies()
+
+
+def test_degeneracies_raise_rather_than_wrap():
+    # 255 is the most a byte holds; realized degeneracies first pass it near 10^12
+    assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
+    with pytest.raises(ValueError):
+        Spectrum(4, {4: [(1, 1)] * 256}).degeneracies()
 
 
 def test_energy_level_validation():
