@@ -264,8 +264,7 @@ def inverse_rep(
     Raises ValueError for identical states (v2 would vanish and the doublet
     degenerate), for energy mismatch, and for xi <= 0.
     """
-    p = State(*first)
-    q = State(*second)
+    p, q = tuple(first), tuple(second)
     ep, eq = energy_of(p), energy_of(q)
     if ep != eq:
         raise ValueError(f"states {p} and {q} have different energies ({ep} != {eq})")
@@ -274,8 +273,9 @@ def inverse_rep(
     xi = _frac(xi)
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    v1 = (p.n2 + q.n2) * xi
-    v2 = 3 * (q.n1 - p.n1) * xi
+    (p1, p2), (q1, q2) = p, q
+    v1 = (p2 + q2) * xi
+    v2 = 3 * (q1 - p1) * xi
     v3 = 1 / (6 * xi)
-    v4 = Fraction(q.n1 + p.n1, 2 * (q.n2 + p.n2)) / xi
+    v4 = Fraction(q1 + p1, 2 * (q2 + p2)) / xi
     return (v1, v2, v3, v4)

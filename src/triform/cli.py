@@ -4,12 +4,14 @@ Subcommands: spectrum, census, level, verify, braham (reps|doublet|inverse).
 Every subcommand takes --format {table,json,csv}; results go to stdout,
 diagnostics to stderr.
 
-Each command builds its result once, as a JSON-shaped record of plain dicts
-and lists, and hands it to `_render`, the only code that looks at --format.
-The three formats are views of that record: JSON dumps it, CSV projects a
-list of row records onto a header through one cell rule (`_cell`), and the
-table is a list of lines read off the same records.  No view goes back to
-the domain objects.
+Each command builds its result once, as a JSON-shaped record that holds
+the library's values as they were produced (a state or seed stays the tuple
+the library made, a list of them stays a list), and hands it to `_render`,
+the only code that looks at --format.  The three formats are views of that
+record: JSON dumps it, CSV projects a list of row records onto a header
+through one cell rule (`_cell`: a tuple is a pair, a list joins its cells),
+and the table is a list of lines read off the same records.  No view goes
+back to the domain objects.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error.
@@ -71,16 +73,17 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _cell(value):
-    """CSV cell of a record field: a pair joins as a:b, a list of pairs as
-    a:b;c:d, and None is empty."""
+def _cell(value) -> str:
+    """CSV cell of a record field: a tuple is a pair printed as a:b, a list
+    joins the cells of its items with ";", None is empty, and any other
+    value prints as str(value)."""
     if value is None:
         return ""
-    if isinstance(value, list):
-        if value and isinstance(value[0], list):
-            return ";".join(map(_cell, value))
+    if isinstance(value, tuple):
         return ":".join(map(str, value))
-    return value
+    if isinstance(value, list):
+        return ";".join(map(_cell, value))
+    return str(value)
 
 
 def _render(args: argparse.Namespace, doc: dict, header: "list[str]",
@@ -110,7 +113,7 @@ def _level_record(energy: int, states) -> dict:
         "energy": energy,
         "parity": parity_of_energy(energy).value,
         "degeneracy": len(states),
-        "states": [[a, b] for a, b in states],
+        "states": states,
     }
 
 
@@ -206,8 +209,9 @@ def cmd_level(args: argparse.Namespace) -> int:
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
     doc = {
-        **_level_record(level.energy, level.states),
-        "perrin_seed": [seed.m1, seed.m2] if seed else None,
+        # a list of states: `_cell` would print a tuple of them as one pair
+        **_level_record(level.energy, list(level.states)),
+        "perrin_seed": (seed.m1, seed.m2) if seed else None,
         "reps": [[r.v1, r.v2, str(r.v3), str(r.v4)] for r in reps],
         "rep_counts": {
             "factorization": len(reps),
@@ -290,10 +294,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         },
         "ok": not perrin_bad and not braham_bad,
     }
-    # counterexample energies are a list, not a pair, so they join with ";"
     rows = [
         {"conjecture": name, "total": part["total"], "passed": part[passed],
-         "counterexamples": ";".join(map(str, part["counterexamples"]))}
+         "counterexamples": part["counterexamples"]}
         for name, part, passed in (
             ("perrin", doc["perrin"], "matched"),
             (f"brahmagupta-{mode.value}", doc["brahmagupta"], "covered"),
@@ -348,8 +351,8 @@ def cmd_braham_doublet(args: argparse.Namespace) -> int:
     doc = {
         "rep": [rep.v1, rep.v2, str(rep.v3), str(rep.v4)],
         "energy": rep.energy,
-        "first": [str(x) for x in doublet.first],
-        "second": [str(x) for x in doublet.second],
+        "first": tuple(map(str, doublet.first)),
+        "second": tuple(map(str, doublet.second)),
         "state_pair": doublet.is_state_pair,
         "distinct": doublet.is_distinct,
     }
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=FORMATS, default="table", help="output format")
     emax = argparse.ArgumentParser(add_help=False)
-    emax.add_argument("--emax", type=int, required=True)
+    emax.add_argument("--emax", type=int, required=True, help="largest energy to include")
     mode = argparse.ArgumentParser(add_help=False)
     mode.add_argument("--mode", choices=[m.value for m in RepMode],
                       default=RepMode.FACTORIZATION.value)
@@ -391,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[fmt], help="list energy levels")
-    p.add_argument("--emax", type=int, required=True, help="largest energy to include")
+    p = sub.add_parser("spectrum", parents=[fmt, emax], help="list energy levels")
     p.add_argument(
         "--only-degenerate", action="store_true", help="skip non-degenerate levels"
     )

@@ -19,6 +19,7 @@ enumeration bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -113,10 +114,11 @@ class Spectrum(Mapping):
     Iteration yields energies in ascending order.  Nothing is enumerated at
     construction; each of two stores is built on first use and cached:
 
-    * the count table (`degeneracies`), one byte per energy, serves the
-      count reads: `len`, `state_count`, `degeneracy_of` and `in`;
+    * the count table (`degeneracies`), one byte per energy, is the only
+      index: iteration, `len`, `state_count`, `degeneracy_of`, `in`, and a
+      miss of `[]` or `get` read it alone;
     * the buckets, the (n1, n2) pairs of every level, serve the per-state
-      reads: iteration, `[]`, `iter_levels` and `raw_items`.
+      reads: a hit of `[]`, `iter_levels` and `raw_items`.
 
     Count reads never build the buckets, so a census at e_max = 10^7 needs
     about 10 MB where the buckets would take about 165 B per state.  Both
@@ -124,7 +126,7 @@ class Spectrum(Mapping):
     build one build the same value and stay safe.
     """
 
-    __slots__ = ("_e_max", "_buckets", "_energies", "_counts")
+    __slots__ = ("_e_max", "_buckets", "_counts")
 
     def __init__(
         self, e_max: int, buckets: "Optional[dict[int, list[tuple[int, int]]]]" = None
@@ -134,7 +136,6 @@ class Spectrum(Mapping):
         # the count table is read off their lengths.
         self._e_max = e_max
         self._buckets = buckets
-        self._energies = None if buckets is None else sorted(buckets)
         self._counts: "Optional[bytes]" = None
 
     @property
@@ -145,8 +146,8 @@ class Spectrum(Mapping):
         """Number of states of every energy 0..e_max, one byte each (index = energy).
 
         One stripe pass: for each n1, add 1 at 3*n1^2 + k^2 for every square
-        k^2 that fits; a spectrum built from explicit buckets reads the
-        table off their lengths instead.
+        k^2 that fits; once the buckets exist (given explicitly, or built by
+        `raw_items`), the table is read off their lengths instead.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping.  Realized degeneracies stay far
@@ -171,7 +172,6 @@ class Spectrum(Mapping):
     def _built_buckets(self) -> "dict[int, list[tuple[int, int]]]":
         if self._buckets is None:
             self._buckets = _stripe_buckets(self._e_max)
-            self._energies = sorted(self._buckets)
         return self._buckets
 
     @property
@@ -183,20 +183,21 @@ class Spectrum(Mapping):
         return len(counts) - counts.count(0)
 
     def __iter__(self) -> Iterator[int]:
-        self._built_buckets()
-        return iter(self._energies)
+        counts = self.degeneracies()
+        return itertools.compress(range(len(counts)), counts)
 
     def __contains__(self, energy: object) -> bool:
         return self.degeneracy_of(energy) > 0
 
     def __getitem__(self, energy: int) -> EnergyLevel:
-        bucket = self._built_buckets()[energy]
-        return EnergyLevel(energy, tuple(State(a, b) for a, b in bucket))
+        if energy not in self:
+            raise KeyError(energy)
+        return _level(energy, self._built_buckets()[energy])
 
     def iter_levels(self) -> Iterator[EnergyLevel]:
         """All levels in ascending energy order."""
-        for e in self:
-            yield self[e]
+        for energy, states in self.raw_items():
+            yield _level(energy, states)
 
     def degeneracy_of(self, energy: object) -> int:
         """Number of states at `energy`, 0 when the energy is not realized."""
@@ -209,15 +210,16 @@ class Spectrum(Mapping):
 
         The lists are internal storage and must not be mutated.
         """
-        buckets = self._built_buckets()
-        for e in self._energies:
-            yield e, buckets[e]
+        buckets = self._built_buckets()  # first, so the table is read off them
+        for energy in self:
+            yield energy, buckets[energy]
 
     def __repr__(self) -> str:
-        return (
-            f"Spectrum(e_max={self._e_max}, levels={len(self)}, "
-            f"states={self.state_count})"
-        )
+        return f"Spectrum(e_max={self._e_max})"
+
+
+def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
+    return EnergyLevel(energy, tuple(State(a, b) for a, b in states))
 
 
 def _stripe_buckets(e_max: int) -> "dict[int, list[tuple[int, int]]]":
@@ -373,4 +375,4 @@ def level_of(energy: int) -> Optional[EnergyLevel]:
     states = form_solutions(energy)
     if not states:
         return None
-    return EnergyLevel(energy, tuple(State(a, b) for a, b in states))
+    return _level(energy, states)

@@ -193,3 +193,23 @@ def divisor_sum_degeneracies(n_max: int) -> "list[int]":
             for m in range(d, n_max + 1, d):
                 r[m] += w
     return [0] + [_states_from_r(n, r[n]) for n in range(1, n_max + 1)]
+
+
+def sieve_factorizations(n_max: int) -> "list[list[tuple[int, int]]]":
+    """(prime, exponent) factorization of every n in 0..n_max (index = n), read
+    off a smallest-prime-factor sieve instead of trial division."""
+    spf = list(range(n_max + 1))
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    factorizations = [[], []]
+    for n in range(2, n_max + 1):
+        p, rest = spf[n], n // spf[n]
+        head = factorizations[rest]
+        if head and head[0][0] == p:
+            factorizations.append([(p, head[0][1] + 1), *head[1:]])
+        else:
+            factorizations.append([(p, 1), *head])
+    return factorizations

@@ -247,13 +247,14 @@ def test_inverse_default_xi():
 
 
 def test_inverse_rejects_identical_states():
-    with pytest.raises(ValueError):
-        inverse_rep((1, 5), (1, 5))
+    with pytest.raises(ValueError, match=r"^states must be distinct, got \(1, 5\) twice$"):
+        inverse_rep(State(1, 5), (1, 5))
 
 
 def test_inverse_rejects_energy_mismatch():
-    with pytest.raises(ValueError):
-        inverse_rep((1, 5), (1, 4))
+    with pytest.raises(ValueError, match=r"^states \(1, 5\) and \(1, 4\) have different "
+                                         r"energies \(28 != 19\)$"):
+        inverse_rep(State(1, 5), (1, 4))
 
 
 def test_inverse_rejects_nonpositive_xi():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from triform import RepMode, enumerate_spectrum, parity_of, rep_search
-from triform.cli import build_parser, main, parse_rational
+import triform.cli as cli
+from triform import RepMode, build_census, enumerate_spectrum, parity_of, rep_search
+from triform.cli import _cell, build_parser, main, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +227,48 @@ def test_verify_strict_mode(capsys):
     assert "strict" in out
 
 
+VERIFY_300_WITH_COUNTEREXAMPLES = {
+    "table": """\
+conjecture check for E <= 300 (factorization mode)
+
+perrin:      15/15 same-parity 3-fold levels matched; counterexamples: [196, 252]
+brahmagupta: 4/6 opposite-parity 2-fold levels covered; counterexamples: [91, 133]
+all doublet levels in range have an all-integer rep
+
+RESULT: counterexample found
+""",
+    "csv": """\
+conjecture,total,passed,counterexamples
+perrin,15,15,196;252
+brahmagupta-factorization,6,4,91;133
+""",
+    "json": json.dumps({
+        "e_max": 300,
+        "mode": "factorization",
+        "perrin": {"total": 15, "matched": 15, "counterexamples": [196, 252]},
+        "brahmagupta": {
+            "total": 6,
+            "covered": 4,
+            "counterexamples": [91, 133],
+            "levels_without_all_integer_rep": [],
+            "non_doublet_degenerate": {"total": 0, "by_degeneracy": {}},
+        },
+        "ok": False,
+    }, indent=2) + "\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(VERIFY_300_WITH_COUNTEREXAMPLES))
+def test_verify_prints_counterexamples(capsys, monkeypatch, fmt):
+    # no goldens reach a counterexample; inject two per conjecture
+    monkeypatch.setattr(cli, "check_brahmagupta_conjecture", lambda spectrum, mode: [91, 133])
+    monkeypatch.setattr(cli, "build_census", lambda spectrum: dataclasses.replace(
+        build_census(spectrum), perrin_exceptions=(196, 252)))
+    code, out, _ = run_cli(capsys, "verify", "--emax", "300", "--format", fmt)
+    assert code == 1
+    assert out == VERIFY_300_WITH_COUNTEREXAMPLES[fmt]
+
+
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--emax", "3")
     assert code == 2
@@ -290,16 +334,32 @@ def test_braham_inverse_fractional_output(capsys):
 def test_braham_inverse_identical_states(capsys):
     code, _, err = run_cli(capsys, "braham", "inverse", "1", "5", "1", "5")
     assert code == 2
-    assert "distinct" in err
+    assert err == "error: states must be distinct, got (1, 5) twice\n"
 
 
 def test_braham_inverse_energy_mismatch(capsys):
     code, _, err = run_cli(capsys, "braham", "inverse", "1", "1", "2", "2")
     assert code == 2
-    assert "different energies" in err
+    assert err == "error: states (1, 1) and (2, 2) have different energies (4 != 16)\n"
 
 
 # ------------------------------------------------------- format invariants
+
+@pytest.mark.parametrize("value, cell", [
+    ((3, 8), "3:8"),
+    (("3/2", "1/2"), "3/2:1/2"),
+    ([(1, 5), (2, 4), (3, 1)], "1:5;2:4;3:1"),
+    ([(1, 1)], "1:1"),
+    ([196, 252], "196;252"),
+    ([], ""),
+    (None, ""),
+    (91, "91"),
+    ("subtotal", "subtotal"),
+    (True, "True"),
+])
+def test_cell_rule(value, cell):
+    assert _cell(value) == cell
+
 
 def test_output_determinism(capsys):
     outputs = []

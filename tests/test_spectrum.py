@@ -148,6 +148,32 @@ def test_spectrum_is_a_mapping(spectrum_2700):
     assert energies == sorted(energies)
 
 
+def test_table_reads_build_no_buckets():
+    spectrum = enumerate_spectrum(2700)
+    assert list(spectrum) == sorted(oracles.naive_levels(2700))
+    assert len(spectrum) == 655
+    assert 28 in spectrum and 5 not in spectrum
+    assert spectrum.get(5) is None and spectrum.get(2701) is None
+    with pytest.raises(KeyError):
+        spectrum[5]
+    assert spectrum._buckets is None
+    assert spectrum[28].degeneracy == 3
+
+
+def test_repr_builds_nothing():
+    spectrum = enumerate_spectrum(10**6)
+    assert repr(spectrum) == "Spectrum(e_max=1000000)"
+    assert spectrum._counts is None and spectrum._buckets is None
+
+
+def test_explicit_buckets_iterate_in_ascending_energy():
+    items = list(enumerate_spectrum(300).raw_items())
+    spectrum = Spectrum(300, dict(reversed(items)))
+    assert list(spectrum) == [e for e, _ in items] == sorted(e for e, _ in items)
+    assert list(spectrum.raw_items()) == items
+    assert [lv.energy for lv in spectrum.iter_levels()] == list(spectrum)
+
+
 def test_count_reads_outside_the_range(spectrum_2700):
     for energy in (-1, -2700, 0, 2701, 10**9, "28", None):
         assert energy not in spectrum_2700
@@ -214,6 +240,25 @@ def test_factorize_rebuilds_n_from_primes():
     for n in (0, -12):
         with pytest.raises(ValueError):
             factorize(n)
+
+
+def test_factorize_matches_a_smallest_prime_factor_sieve():
+    expected = oracles.sieve_factorizations(10**5)
+    for n in range(1, 10**5 + 1):
+        assert factorize(n) == expected[n], n
+
+
+@pytest.mark.parametrize("n, factors", [
+    (561, [(3, 1), (11, 1), (17, 1)]),  # Carmichael numbers
+    (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+    (825265, [(5, 1), (7, 1), (17, 1), (19, 1), (73, 1)]),
+    (3215031751, [(151, 1), (751, 1), (28351, 1)]),  # strong pseudoprime to 2, 3, 5, 7
+    (999983**2, [(999983, 2)]),
+    (1000003 * 1000033, [(1000003, 1), (1000033, 1)]),
+    (999999999989, [(999999999989, 1)]),  # prime
+])
+def test_factorize_hard_cases(n, factors):
+    assert factorize(n) == factors
 
 
 def test_form_solutions_match_scan_up_to_20000():
