@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, energy_of, factorize, form_solutions_factored
+from .spectrum import State, StateLike, _prime_rows, _solutions, energy_of, factorize
 
 Rational = Union[int, str, Fraction]
 
@@ -213,19 +213,22 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     solved independently.  Ordered tuples are distinct representations:
     (1,2,2,1) and (2,1,1,2) both count.
 
-    4*E is factored once.  The divisors are walked as exponent vectors, and
-    each divisor and its cofactor are solved from their own factorizations
-    (`form_solutions_factored`), each solved once.  Divisors holding a prime
-    p = 2 (mod 3) to an odd power are skipped: no form value has one.
-    Strict mode keeps only the representations that pass `is_strict`.
-    Returns [] when nothing represents the energy.
+    4*E is factored once, and each of its primes gets one table of rows
+    (`_prime_rows`), so each split prime is solved once per call.  The
+    divisors are walked as exponent vectors, and each divisor and its
+    cofactor are solved from one row per prime.  An exponent whose row or
+    cofactor row is empty, such as an odd power of an inert prime, is not
+    walked: one side of the product would have no solution.  Strict mode
+    keeps only the representations that pass `is_strict`.  Returns [] when
+    nothing represents the energy.
     """
     if energy < 4:
         return []
     factors = factorize(4 * energy)
-    ranges = [range(0, k + 1, 2) if p % 3 == 2 else range(k + 1) for p, k in factors]
+    tables = [_prime_rows(p, k) for p, k in factors]
+    ranges = [[e for e, row in enumerate(rows) if row and rows[-1 - e]] for rows in tables]
     solved = {
-        exps: form_solutions_factored([(p, e) for (p, _), e in zip(factors, exps) if e])
+        exps: _solutions([rows[e] for rows, e in zip(tables, exps)])
         for exps in product(*ranges)
     }
     tuples = []
@@ -233,7 +236,7 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
         if not first:
             continue
         cofactor = tuple(k - e for (_, k), e in zip(factors, exps))
-        for a, b in solved.get(cofactor, ()):
+        for a, b in solved[cofactor]:
             tuples.extend((v1, v2, a, b) for v1, v2 in first)
     if mode is RepMode.STRICT:
         tuples = [t for t in tuples if _strict(*t)]

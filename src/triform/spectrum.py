@@ -115,15 +115,20 @@ class Spectrum(Mapping):
     construction; each of two stores is built on first use and cached:
 
     * the count table (`degeneracies`), one byte per energy, is the only
-      index: iteration, `len`, `state_count`, `degeneracy_of`, `in`, and a
-      miss of `[]` or `get` read it alone;
-    * the buckets, the (n1, n2) pairs of every level, serve the per-state
-      reads: a hit of `[]`, `iter_levels` and `raw_items`.
+      index: iteration, `len`, `state_count`, `degeneracy_of` and `in`
+      read it alone;
+    * the buckets, the (n1, n2) pairs of every level, serve only the walks
+      over the whole range: `raw_items` and `iter_levels`.
 
     Count reads never build the buckets, so a census at e_max = 10^7 needs
-    about 10 MB where the buckets would take about 165 B per state.  Both
-    stores are pure functions of e_max, so concurrent readers that race to
-    build one build the same value and stay safe.
+    about 10 MB where the buckets would take about 165 B per state.  `[]`
+    and `get` read neither store: they solve their one energy (`level_of`),
+    so one level costs its own states.  The views inherited from Mapping
+    (`items`, `values`, `==`) solve every energy one at a time, about three
+    times slower than one stripe walk at e_max = 10^6; read the whole map
+    with `iter_levels` or `raw_items` instead.  Both stores are pure
+    functions of e_max, so concurrent readers that race to build one build
+    the same value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -133,7 +138,7 @@ class Spectrum(Mapping):
     ):
         # Internal constructor: use enumerate_spectrum().  Explicit buckets
         # map energy -> list of (n1, n2) already ascending in n1, and then
-        # the count table is read off their lengths.
+        # the count table is read off their lengths; `[]` never reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
@@ -190,9 +195,10 @@ class Spectrum(Mapping):
         return self.degeneracy_of(energy) > 0
 
     def __getitem__(self, energy: int) -> EnergyLevel:
-        if energy not in self:
+        level = level_of(energy) if isinstance(energy, int) and energy <= self._e_max else None
+        if level is None:
             raise KeyError(energy)
-        return _level(energy, self._built_buckets()[energy])
+        return level
 
     def iter_levels(self) -> Iterator[EnergyLevel]:
         """All levels in ascending energy order."""
@@ -319,29 +325,34 @@ def _split_prime(p: int) -> "tuple[int, int]":
     return (b + v, 2 * v)
 
 
-def form_solutions_factored(factors: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
-    """`form_solutions` of the n whose factorization is `factors`."""
-    base = (1, 0)  # shared by every element of norm n
-    choices = []   # per split prime p^k: the k + 1 products pi^s * conj(pi)^(k-s)
-    for p, k in factors:
-        if p == 3:
-            for _ in range(k):
-                base = _mul(base, (1, -1))  # 1 - w, of norm 3
-        elif p % 3 == 2:
-            if k % 2:
-                return []  # an inert prime divides a norm to an even power
-            base = (base[0] * p ** (k // 2), base[1] * p ** (k // 2))
-        else:
-            pi = _split_prime(p)
-            bar = (pi[0] - pi[1], -pi[1])
-            powers, conj_powers = [(1, 0)], [(1, 0)]
-            for _ in range(k):
-                powers.append(_mul(powers[-1], pi))
-                conj_powers.append(_mul(conj_powers[-1], bar))
-            choices.append([_mul(powers[s], conj_powers[k - s]) for s in range(k + 1)])
-    elements = [base]
-    for options in choices:
-        elements = [_mul(e, o) for e in elements for o in options]
+def _prime_rows(p: int, k: int) -> "list[list[tuple[int, int]]]":
+    """Row e, for e = 0..k: the Eisenstein integers of norm p^e, one per class
+    of associates.
+
+    A prime p = 2 (mod 3) stays prime, so its row e is p^(e/2) for even e
+    and empty for odd e.  3 = -w^2 * (1 - w)^2 ramifies, so its row e is
+    (1 - w)^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi from
+    Cornacchia's algorithm (`_split_prime`), and its row e is
+    pi^s * conj(pi)^(e-s) for s = 0..e.
+    """
+    if p % 3 == 2:
+        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(k + 1)]
+    pi = (1, -1) if p == 3 else _split_prime(p)
+    powers = [(1, 0)]
+    for _ in range(k):
+        powers.append(_mul(powers[-1], pi))
+    if p == 3:
+        return [[power] for power in powers]
+    conj = [(a - b, -b) for a, b in powers]  # conj(a + b*w) = (a - b) - b*w
+    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)] for e in range(k + 1)]
+
+
+def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
+    """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times a
+    product of one element from each row, ascending in x."""
+    elements = [(1, 0)]
+    for row in rows:
+        elements = [_mul(e, o) for e in elements for o in row]
     solutions = []
     for element in elements:
         for unit in _UNITS:
@@ -355,16 +366,14 @@ def form_solutions_factored(factors: "list[tuple[int, int]]") -> "list[tuple[int
 def form_solutions(n: int) -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
 
-    Factors n once (`factorize`) and builds every Eisenstein integer of norm
-    n from its primes: 3 contributes 1 - w, a prime p = 2 (mod 3) must occur
-    to an even power 2j and contributes p^j, and a prime p = 1 (mod 3)
-    splits as pi * conj(pi), found by Cornacchia's algorithm.  Times the six
-    units, the elements y + x*sqrt(-3) with x, y >= 1 are the solutions.
-    Empty for n < 4.
+    Factors n once (`factorize`) and multiplies, over the primes p^k of n,
+    one Eisenstein integer of norm p^k from row k of `_prime_rows`, in every
+    combination.  Times the six units, the elements y + x*sqrt(-3) with
+    x, y >= 1 are the solutions.  Empty for n < 4.
     """
     if n < 4:
         return []
-    return form_solutions_factored(factorize(n))
+    return _solutions([_prime_rows(p, k)[k] for p, k in factorize(n)])
 
 
 def level_of(energy: int) -> Optional[EnergyLevel]:

@@ -77,6 +77,23 @@ def scan_form_solutions(n: int) -> "list[tuple[int, int]]":
     return solutions
 
 
+def scan_reps(energy: int) -> "list[tuple[int, int, Fraction, Fraction]]":
+    """Every rep of `energy`: for each divisor d of 4*E, found by trial
+    division, pair the literal scans of d and of 4*E // d, halving the second."""
+    n = 4 * energy
+    reps = []
+    for d in range(1, n + 1):
+        if d * d > n:
+            break
+        if n % d:
+            continue
+        for first in {d, n // d}:
+            for v1, v2 in scan_form_solutions(first):
+                for a, b in scan_form_solutions(n // first):
+                    reps.append((v1, v2, Fraction(a, 2), Fraction(b, 2)))
+    return sorted(reps)
+
+
 def quadruple_loop_reps(energy: int) -> "list[tuple[int, int, Fraction, Fraction]]":
     """Literal quadruple loop over v1, v2 and doubled half-integers a, b."""
     reps = []

@@ -217,6 +217,7 @@ def test_criterion_10_oracle_equivalence(capsys, oracle_reps_5000):
     assert set(spectrum) == set(naive)
     for e, states in naive.items():
         assert [tuple(s) for s in spectrum[e].states] == sorted(states)
+    assert dict(spectrum.raw_items()) == naive
     for energy in range(1, 5001):
         expected = oracle_reps_5000.get(energy, [])
         assert [r.key for r in rep_search(energy)] == expected

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from triform import (
     rep_search,
     signed_doublet,
 )
+from triform import spectrum as spectrum_module
 from triform.brahmagupta import is_strict
 
 # all sixteen factorization reps of 91, frozen from the quadruple-loop oracle
@@ -214,6 +216,45 @@ def test_rep_search_completeness_oracle(oracle_reps_5000):
     for energy in range(1, 5001):
         expected = oracle_reps_5000.get(energy, [])
         assert keys(rep_search(energy)) == expected, energy
+
+
+def _seeded_realized_energies(seed, count, lo, hi):
+    rng = random.Random(seed)
+    energies = []
+    while len(energies) < count:
+        target = int(lo * (hi / lo) ** rng.random())
+        n1 = rng.randint(1, math.isqrt((target - 1) // 3))
+        energy = 3 * n1 * n1 + math.isqrt(target - 3 * n1 * n1) ** 2
+        if lo <= energy:
+            energies.append(energy)
+    return energies
+
+
+LARGE_REP_ENERGIES = _seeded_realized_energies(8128, 16, 10**5, 10**8) + [
+    4 * 7**2 * 13 * 27, 4 * 25 * 7 * 13 * 19, 7**4 * 13**2,
+    4 * 3**5 * 7 * 13, 4 * 7 * 13 * 19 * 31 * 37, 4 * 7 * 13 * 49 * 121,
+]
+
+
+@pytest.mark.parametrize("energy", LARGE_REP_ENERGIES)
+def test_rep_search_matches_the_divisor_scan_above_5000(energy):
+    expected = oracles.scan_reps(energy)
+    assert expected and keys(rep_search(energy)) == expected
+
+
+@pytest.mark.parametrize("energy", [4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
+@pytest.mark.parametrize("solve", [rep_search, spectrum_module.form_solutions])
+def test_each_split_prime_is_solved_once(monkeypatch, energy, solve):
+    calls = []
+    split_prime = spectrum_module._split_prime
+
+    def counted(p):
+        calls.append(p)
+        return split_prime(p)
+
+    monkeypatch.setattr(spectrum_module, "_split_prime", counted)
+    assert solve(energy)
+    assert sorted(calls) == [p for p in (7, 13, 19, 31, 37) if energy % p == 0]
 
 
 @pytest.mark.parametrize(

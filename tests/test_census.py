@@ -15,6 +15,7 @@ from triform import (
     check_perrin_conjecture,
     doublet_coverage,
     enumerate_spectrum,
+    parity_of_energy,
     rep_search,
 )
 
@@ -192,8 +193,8 @@ def test_doublet_coverage_2700(spectrum_2700):
     assert len(coverage) == 109
     assert [c.energy for c in coverage] == sorted(c.energy for c in coverage)
     for c in coverage:
-        assert spectrum_2700[c.energy].degeneracy == 2
-        assert spectrum_2700[c.energy].parity is Parity.OPPOSITE
+        assert spectrum_2700.degeneracy_of(c.energy) == 2  # read off the stripe
+        assert parity_of_energy(c.energy) is Parity.OPPOSITE
         assert c.rep_count >= c.strict_count
         assert c.rep_count >= c.all_integer_count
     # every doublet level up to 2700 turns out to admit an all-integer rep

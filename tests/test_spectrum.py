@@ -19,7 +19,7 @@ from triform import (
     parity_of,
     parity_of_energy,
 )
-from triform.spectrum import factorize, form_solutions
+from triform.spectrum import _UNITS, _mul, _prime_rows, factorize, form_solutions
 
 
 @pytest.mark.parametrize(
@@ -80,11 +80,14 @@ def test_level_of_absent():
 
 
 def test_level_of_agrees_with_spectrum(spectrum_2700):
-    for energy in (4, 7, 28, 91, 196, 1267, 2700):
-        if energy in spectrum_2700:
-            assert level_of(energy) == spectrum_2700[energy]
-        else:
-            assert level_of(energy) is None
+    buckets = dict(spectrum_2700.raw_items())  # the stripe's own states
+    for energy in range(-1, 2702):
+        level = level_of(energy)
+        if energy in buckets:
+            assert [tuple(s) for s in level.states] == buckets[energy]
+        elif energy <= 2700:
+            assert level is None
+        assert spectrum_2700.get(energy) == (level if energy <= 2700 else None)
 
 
 @pytest.mark.parametrize(
@@ -117,6 +120,7 @@ def test_oracle_equivalence_naive_double_loop():
     assert set(spectrum) == set(naive)
     for e, states in naive.items():
         assert [tuple(s) for s in spectrum[e].states] == sorted(states)
+    assert dict(spectrum.raw_items()) == naive
 
 
 def test_states_sorted_and_distinct(spectrum_2700):
@@ -134,6 +138,7 @@ def test_build_determinism():
     )
     assert dump(a) == dump(b)
     assert list(a) == list(b)
+    assert dict(a.raw_items()) == dict(b.raw_items()) == oracles.naive_levels(500)
 
 
 def test_spectrum_is_a_mapping(spectrum_2700):
@@ -150,6 +155,10 @@ def test_spectrum_is_a_mapping(spectrum_2700):
 
 def test_table_reads_build_no_buckets():
     spectrum = enumerate_spectrum(2700)
+    assert spectrum[28].degeneracy == 3 and spectrum.get(2701) is None
+    with pytest.raises(KeyError):
+        spectrum["28"]
+    assert spectrum._counts is None  # one level builds neither store
     assert list(spectrum) == sorted(oracles.naive_levels(2700))
     assert len(spectrum) == 655
     assert 28 in spectrum and 5 not in spectrum
@@ -158,6 +167,7 @@ def test_table_reads_build_no_buckets():
         spectrum[5]
     assert spectrum._buckets is None
     assert spectrum[28].degeneracy == 3
+    assert spectrum._buckets is None  # a hit is solved, not enumerated
 
 
 def test_repr_builds_nothing():
@@ -259,6 +269,24 @@ def test_factorize_matches_a_smallest_prime_factor_sieve():
 ])
 def test_factorize_hard_cases(n, factors):
     assert factorize(n) == factors
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 200) if _is_prime(p)])
+def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
+    for k in range(5):
+        rows = _prime_rows(p, k)
+        assert len(rows) == k + 1
+        for e, row in enumerate(rows):
+            assert all(a * a - a * b + b * b == p**e for a, b in row), (p, e)
+            if p % 3 == 1:
+                assert len(row) == e + 1
+            elif p == 3:
+                assert len(row) == 1
+            else:
+                assert len(row) == (e % 2 == 0)
+            for i, u in enumerate(row):
+                for v in row[:i]:
+                    assert all(_mul(v, unit) != u for unit in _UNITS), (p, e, u, v)
 
 
 def test_form_solutions_match_scan_up_to_20000():
