@@ -112,23 +112,21 @@ class Spectrum(Mapping):
     """Immutable map from energy to :class:`EnergyLevel` for all E <= e_max.
 
     Iteration yields energies in ascending order.  Nothing is enumerated at
-    construction; each of two stores is built on first use and cached:
+    construction, and the one store is the count table (`degeneracies`),
+    one byte per energy, built on first use and cached.  It is the only
+    index: iteration, `len`, `state_count`, `degeneracy_of` and `in` read
+    it alone.
 
-    * the count table (`degeneracies`), one byte per energy, is the only
-      index: iteration, `len`, `state_count`, `degeneracy_of` and `in`
-      read it alone;
-    * the buckets, the (n1, n2) pairs of every level, serve only the walks
-      over the whole range: `raw_items` and `iter_levels`.
-
-    Count reads never build the buckets, so a census at e_max = 10^7 needs
-    about 10 MB where the buckets would take about 165 B per state.  `[]`
-    and `get` read neither store: they solve their one energy (`level_of`),
-    so one level costs its own states.  The views inherited from Mapping
-    (`items`, `values`, `==`) solve every energy one at a time, about three
-    times slower than one stripe walk at e_max = 10^6; read the whole map
-    with `iter_levels` or `raw_items` instead.  Both stores are pure
-    functions of e_max, so concurrent readers that race to build one build
-    the same value and stay safe.
+    No state is stored.  The walks over the whole range, `raw_items` and
+    `iter_levels`, stripe the states afresh on each call, one window of
+    2^16 energies at a time, so they hold one window's states and never
+    the table: memory stays flat as e_max grows.  `[]` and `get` solve
+    their one energy (`level_of`), so one level costs its own states.  The
+    views inherited from Mapping (`items`, `values`, `==`) solve every
+    energy one at a time, about three times slower than one walk at
+    e_max = 10^6; read the whole map with `iter_levels` or `raw_items`
+    instead.  The table is a pure function of e_max, so concurrent readers
+    that race to build it build the same value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -137,8 +135,9 @@ class Spectrum(Mapping):
         self, e_max: int, buckets: "Optional[dict[int, list[tuple[int, int]]]]" = None
     ):
         # Internal constructor: use enumerate_spectrum().  Explicit buckets
-        # map energy -> list of (n1, n2) already ascending in n1, and then
-        # the count table is read off their lengths; `[]` never reads them.
+        # map energy -> list of (n1, n2) already ascending in n1; then the
+        # count table is read off their lengths and `raw_items` reads them
+        # in place of the walk.  `[]` never reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
@@ -151,8 +150,8 @@ class Spectrum(Mapping):
         """Number of states of every energy 0..e_max, one byte each (index = energy).
 
         One stripe pass: for each n1, add 1 at 3*n1^2 + k^2 for every square
-        k^2 that fits; once the buckets exist (given explicitly, or built by
-        `raw_items`), the table is read off their lengths instead.
+        k^2 that fits; explicit buckets given to the constructor are read
+        off by their lengths instead.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping.  Realized degeneracies stay far
@@ -173,11 +172,6 @@ class Spectrum(Mapping):
                         counts[base + square] += 1
             self._counts = bytes(counts)
         return self._counts
-
-    def _built_buckets(self) -> "dict[int, list[tuple[int, int]]]":
-        if self._buckets is None:
-            self._buckets = _stripe_buckets(self._e_max)
-        return self._buckets
 
     @property
     def state_count(self) -> int:
@@ -214,11 +208,19 @@ class Spectrum(Mapping):
     def raw_items(self) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
         """(energy, states-as-int-pairs) in ascending energy, no materialization.
 
-        The lists are internal storage and must not be mutated.
+        Each call walks the range afresh, one window of `_WINDOW` energies at
+        a time (`_window_items`), and keeps only the current window's states:
+        nothing is cached, so memory stays flat as e_max grows.  Explicit
+        buckets given to the constructor are read instead.  The lists must
+        not be mutated.
         """
-        buckets = self._built_buckets()  # first, so the table is read off them
-        for energy in self:
-            yield energy, buckets[energy]
+        if self._buckets is not None:
+            buckets = self._buckets
+            for energy in self:
+                yield energy, buckets[energy]
+            return
+        for lo in range(0, self._e_max + 1, _WINDOW):
+            yield from _window_items(lo, min(lo + _WINDOW, self._e_max + 1))
 
     def __repr__(self) -> str:
         return f"Spectrum(e_max={self._e_max})"
@@ -228,33 +230,41 @@ def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
     return EnergyLevel(energy, tuple(State(a, b) for a, b in states))
 
 
-def _stripe_buckets(e_max: int) -> "dict[int, list[tuple[int, int]]]":
-    """Every state with energy <= e_max, bucketed by energy.
+# Energies per window of the range walk `Spectrum.raw_items`: large enough
+# that the per-n1 set-up is a small share of a window, small enough that
+# one window's states take a few MB.
+_WINDOW = 1 << 16
 
-    Stripes over n1, so each bucket is built already sorted by n1.
+
+def _window_items(lo: int, hi: int) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
+    """(energy, states) for every realized energy in [lo, hi), ascending.
+
+    Stripes over n1, and for each n1 over the n2 whose energy falls in the
+    window, so each level is built already sorted by n1.
     """
-    buckets: "dict[int, list[tuple[int, int]]]" = {}
-    get = buckets.get
+    slots: "list[Optional[list[tuple[int, int]]]]" = [None] * (hi - lo)
     n1 = 1
-    while 3 * n1 * n1 + 1 <= e_max:
-        base = 3 * n1 * n1
-        for n2 in range(1, math.isqrt(e_max - base) + 1):
-            e = base + n2 * n2
-            bucket = get(e)
-            if bucket is None:
-                buckets[e] = [(n1, n2)]
+    while (base := 3 * n1 * n1) + 1 < hi:
+        first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
+        offset = base - lo
+        for n2 in range(first, math.isqrt(hi - 1 - base) + 1):
+            at = offset + n2 * n2
+            states = slots[at]
+            if states is None:
+                slots[at] = [(n1, n2)]
             else:
-                bucket.append((n1, n2))
+                states.append((n1, n2))
         n1 += 1
-    return buckets
+    return itertools.compress(zip(range(lo, hi), slots), slots)
 
 
 def enumerate_spectrum(e_max: int) -> Spectrum:
     """The spectrum of every state with energy <= e_max, built lazily.
 
-    Returns at once: the count table and the buckets are each built on the
-    first read that needs them (see :class:`Spectrum`).  Deterministic; the
-    result is independent of evaluation order by construction.
+    Returns at once: the count table is built on the first read that needs
+    it, and the walks stripe the states window by window on each call (see
+    :class:`Spectrum`).  Deterministic; the result is independent of
+    evaluation order by construction.
 
     Raises :class:`EmptySpectrumError` for e_max < 4, where no state exists.
     """
@@ -325,26 +335,28 @@ def _split_prime(p: int) -> "tuple[int, int]":
     return (b + v, 2 * v)
 
 
-def _prime_rows(p: int, k: int) -> "list[list[tuple[int, int]]]":
-    """Row e, for e = 0..k: the Eisenstein integers of norm p^e, one per class
-    of associates.
+def _prime_rows(p: int, k: int, lowest: int = 0) -> "list[list[tuple[int, int]]]":
+    """Row e, for e = lowest..k: the Eisenstein integers of norm p^e, one per
+    class of associates.
 
     A prime p = 2 (mod 3) stays prime, so its row e is p^(e/2) for even e
     and empty for odd e.  3 = -w^2 * (1 - w)^2 ramifies, so its row e is
     (1 - w)^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi from
     Cornacchia's algorithm (`_split_prime`), and its row e is
-    pi^s * conj(pi)^(e-s) for s = 0..e.
+    pi^s * conj(pi)^(e-s) for s = 0..e.  Only the rows asked for are built:
+    `rep_search` needs every row, a single energy only row k.
     """
     if p % 3 == 2:
-        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(k + 1)]
+        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(lowest, k + 1)]
     pi = (1, -1) if p == 3 else _split_prime(p)
     powers = [(1, 0)]
     for _ in range(k):
         powers.append(_mul(powers[-1], pi))
     if p == 3:
-        return [[power] for power in powers]
+        return [[power] for power in powers[lowest:]]
     conj = [(a - b, -b) for a, b in powers]  # conj(a + b*w) = (a - b) - b*w
-    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)] for e in range(k + 1)]
+    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)]
+            for e in range(lowest, k + 1)]
 
 
 def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
@@ -367,13 +379,13 @@ def form_solutions(n: int) -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
 
     Factors n once (`factorize`) and multiplies, over the primes p^k of n,
-    one Eisenstein integer of norm p^k from row k of `_prime_rows`, in every
-    combination.  Times the six units, the elements y + x*sqrt(-3) with
-    x, y >= 1 are the solutions.  Empty for n < 4.
+    one Eisenstein integer of norm p^k from row k of `_prime_rows` (built
+    alone), in every combination.  Times the six units, the elements
+    y + x*sqrt(-3) with x, y >= 1 are the solutions.  Empty for n < 4.
     """
     if n < 4:
         return []
-    return _solutions([_prime_rows(p, k)[k] for p, k in factorize(n)])
+    return _solutions([_prime_rows(p, k, k)[0] for p, k in factorize(n)])
 
 
 def level_of(energy: int) -> Optional[EnergyLevel]:

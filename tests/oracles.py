@@ -12,8 +12,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 from triform.census import _MIN_ROWS, CensusReport, CensusRow
+from triform.cli import _render
 from triform.perrin import find_seed
-from triform.spectrum import Parity, Spectrum
+from triform.spectrum import Parity, Spectrum, parity_of_energy
 
 
 def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
@@ -28,6 +29,30 @@ def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
                 break
             levels[e].append((n1, n2))
     return dict(levels)
+
+
+def spectrum_command(args) -> int:
+    """The `spectrum` command as it was before it streamed: the record of
+    every level (from `naive_levels`) is built first, and then the whole
+    document goes to `cli._render`, which `json.dump`s it with indent=2 or
+    writes its CSV rows, or the table lines built here."""
+    levels = [
+        {"energy": energy, "parity": parity_of_energy(energy).value,
+         "degeneracy": len(states), "states": states}
+        for energy, states in sorted(naive_levels(args.emax).items())
+        if not args.only_degenerate or len(states) >= 2
+    ]
+
+    def table(doc, levels):
+        return [f"{'energy':>8}  {'parity':<8}  {'g':>3}  states"] + [
+            f"{lv['energy']:>8}  {lv['parity']:<8}  {lv['degeneracy']:>3}  "
+            + " ".join(f"({a},{b})" for a, b in lv["states"])
+            for lv in levels
+        ]
+
+    _render(args, {"e_max": args.emax, "levels": levels},
+            ["energy", "parity", "degeneracy", "states"], levels, table)
+    return 0
 
 
 def bucket_census(spectrum: Spectrum) -> CensusReport:

@@ -4,14 +4,18 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import oracles
 import triform.cli as cli
 from triform import RepMode, build_census, enumerate_spectrum, parity_of, rep_search
 from triform.cli import _cell, build_parser, main, parse_rational
+from triform.spectrum import _WINDOW
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +81,42 @@ def test_spectrum_json_matches_materialized_levels(capsys, flags):
         if not flags or level.degeneracy >= 2
     ]
     assert json.loads(out)["levels"] == expected
+
+
+# e_max on both sides of the walk's window edges; at 6 no level is degenerate,
+# so --only-degenerate prints the empty `"levels": []`.
+@pytest.mark.parametrize("e_max", [4, 6, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+@pytest.mark.parametrize("flags", [[], ["--only-degenerate"]])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_streamed_spectrum_equals_the_records_then_render_command(capsys, e_max, flags, fmt):
+    argv = ["spectrum", "--emax", str(e_max), "--format", fmt, *flags]
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    assert oracles.spectrum_command(build_parser().parse_args(argv)) == 0
+    assert streamed == capsys.readouterr().out
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that discards what it is written."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _spectrum_peak_bytes(e_max: int) -> int:
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Sink()):
+            assert main(["spectrum", "--emax", str(e_max), "--format", "json"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_stays_flat_as_emax_grows():
+    # holding every level, the peak grew about 4x from 2e5 to 8e5
+    small, large = _spectrum_peak_bytes(200_000), _spectrum_peak_bytes(800_000)
+    assert large < 1.5 * small, f"{small / 2**20:.1f} MB -> {large / 2**20:.1f} MB"
 
 
 def test_spectrum_usage_error(capsys):

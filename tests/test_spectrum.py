@@ -19,7 +19,7 @@ from triform import (
     parity_of,
     parity_of_energy,
 )
-from triform.spectrum import _UNITS, _mul, _prime_rows, factorize, form_solutions
+from triform.spectrum import _UNITS, _WINDOW, _mul, _prime_rows, factorize, form_solutions
 
 
 @pytest.mark.parametrize(
@@ -176,6 +176,13 @@ def test_repr_builds_nothing():
     assert spectrum._counts is None and spectrum._buckets is None
 
 
+@pytest.mark.parametrize("e_max", [4, 6, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+def test_windowed_walk_equals_the_whole_range_stripe(e_max):
+    spectrum = enumerate_spectrum(e_max)
+    assert list(spectrum.raw_items()) == sorted(oracles.naive_levels(e_max).items())
+    assert spectrum._buckets is None and spectrum._counts is None  # nothing cached
+
+
 def test_explicit_buckets_iterate_in_ascending_energy():
     items = list(enumerate_spectrum(300).raw_items())
     spectrum = Spectrum(300, dict(reversed(items)))
@@ -276,6 +283,7 @@ def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
     for k in range(5):
         rows = _prime_rows(p, k)
         assert len(rows) == k + 1
+        assert all(_prime_rows(p, k, lowest) == rows[lowest:] for lowest in range(k + 1))
         for e, row in enumerate(rows):
             assert all(a * a - a * b + b * b == p**e for a, b in row), (p, e)
             if p % 3 == 1:
