@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
@@ -210,20 +211,37 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     Writing v3 = a/2 and v4 = b/2 with positive integers a, b turns the
     product equation into (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, so the
     first factor d1 runs over divisors of 4*E and the two factors are
-    solved independently.  Ordered tuples are distinct representations:
-    (1,2,2,1) and (2,1,1,2) both count.
+    solved independently (`_rep_tuples`).  Ordered tuples are distinct
+    representations: (1,2,2,1) and (2,1,1,2) both count.
 
-    4*E is factored once, and each of its primes gets one table of rows
-    (`_prime_rows`), so each split prime is solved once per call.  The
-    divisors are walked as exponent vectors, and each divisor and its
-    cofactor are solved from one row per prime.  An exponent whose row or
-    cofactor row is empty, such as an odd power of an inert prime, is not
-    walked: one side of the product would have no solution.  Strict mode
-    keeps only the representations that pass `is_strict`.  Returns [] when
-    nothing represents the energy.
+    The solved tuples of the last energy searched are kept, in either mode:
+    a strict search right after a factorization search of the same energy,
+    as `doublet_coverage` makes for every doublet level, filters them
+    instead of solving again.  Only one energy is kept, so memory stays
+    bounded.  Strict mode keeps only the representations that pass
+    `is_strict`.  Every call returns new reps in a new list.  Returns []
+    when nothing represents the energy.
     """
     if energy < 4:
         return []
+    tuples = _rep_tuples(energy)
+    if mode is RepMode.STRICT:
+        tuples = [t for t in tuples if _strict(*t)]
+    half = {n: Fraction(n, 2) for n in {n for t in tuples for n in t[2:]}}
+    return [BrahmaguptaRep(v1, v2, half[a], half[b], energy) for v1, v2, a, b in tuples]
+
+
+@lru_cache(maxsize=1)
+def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
+    """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted.
+
+    4*E is factored once, and each of its primes gets one table of rows
+    (`_prime_rows`), so each split prime is solved once per energy.  The
+    divisors are walked as exponent vectors, and each divisor and its
+    cofactor are solved from one row per prime.  An exponent whose row or
+    cofactor row is empty, such as an odd power of an inert prime, is not
+    walked: one side of the product would have no solution.
+    """
     factors = factorize(4 * energy)
     tables = [_prime_rows(p, k) for p, k in factors]
     ranges = [[e for e, row in enumerate(rows) if row and rows[-1 - e]] for rows in tables]
@@ -238,11 +256,8 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
         cofactor = tuple(k - e for (_, k), e in zip(factors, exps))
         for a, b in solved[cofactor]:
             tuples.extend((v1, v2, a, b) for v1, v2 in first)
-    if mode is RepMode.STRICT:
-        tuples = [t for t in tuples if _strict(*t)]
     tuples.sort()
-    half = {n: Fraction(n, 2) for t in tuples for n in t[2:]}
-    return [BrahmaguptaRep(v1, v2, half[a], half[b], energy) for v1, v2, a, b in tuples]
+    return tuple(tuples)
 
 
 def inverse_rep(

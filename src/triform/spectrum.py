@@ -361,16 +361,20 @@ def _prime_rows(p: int, k: int, lowest: int = 0) -> "list[list[tuple[int, int]]]
 
 def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times a
-    product of one element from each row, ascending in x."""
+    product of one element from each row, ascending in x.
+
+    The products and the six associates are `_mul` written out: a + b*w
+    times the units of `_UNITS` gives (a, b), (a - b, a), (-b, a - b),
+    (-a, -b), (b - a, -a) and (b, b - a).
+    """
     elements = [(1, 0)]
     for row in rows:
-        elements = [_mul(e, o) for e in elements for o in row]
+        elements = [(a * c - b * d, a * d + b * c - b * d) for a, b in elements for c, d in row]
     solutions = []
-    for element in elements:
-        for unit in _UNITS:
-            a, b = _mul(element, unit)
-            if b > 0 and b % 2 == 0 and a > b // 2:
-                solutions.append((b // 2, a - b // 2))
+    for a, b in elements:
+        for x, y in ((a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)):
+            if y > 0 and y % 2 == 0 and x > y // 2:
+                solutions.append((y // 2, x - y // 2))
     solutions.sort()
     return solutions
 

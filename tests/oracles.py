@@ -14,7 +14,7 @@ from fractions import Fraction
 from triform.census import _MIN_ROWS, CensusReport, CensusRow
 from triform.cli import _render
 from triform.perrin import find_seed
-from triform.spectrum import Parity, Spectrum, parity_of_energy
+from triform.spectrum import _UNITS, Parity, Spectrum, _mul, parity_of_energy
 
 
 def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
@@ -99,6 +99,23 @@ def scan_form_solutions(n: int) -> "list[tuple[int, int]]":
         if y * y == rest:
             solutions.append((x, y))
         x += 1
+    return solutions
+
+
+def unit_loop_solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
+    """`spectrum._solutions` as a loop over `_mul` and the six `_UNITS`:
+    every row product, times every unit, kept when it is y + x*sqrt(-3)
+    with x, y >= 1."""
+    elements = [(1, 0)]
+    for row in rows:
+        elements = [_mul(e, o) for e in elements for o in row]
+    solutions = []
+    for element in elements:
+        for unit in _UNITS:
+            a, b = _mul(element, unit)
+            if b > 0 and b % 2 == 0 and a > b // 2:
+                solutions.append((b // 2, a - b // 2))
+    solutions.sort()
     return solutions
 
 

@@ -242,9 +242,9 @@ def test_rep_search_matches_the_divisor_scan_above_5000(energy):
     assert expected and keys(rep_search(energy)) == expected
 
 
-@pytest.mark.parametrize("energy", [4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
-@pytest.mark.parametrize("solve", [rep_search, spectrum_module.form_solutions])
-def test_each_split_prime_is_solved_once(monkeypatch, energy, solve):
+@pytest.fixture
+def split_prime_calls(monkeypatch):
+    """The primes `_split_prime` is called on from here on, in call order."""
     calls = []
     split_prime = spectrum_module._split_prime
 
@@ -253,8 +253,30 @@ def test_each_split_prime_is_solved_once(monkeypatch, energy, solve):
         return split_prime(p)
 
     monkeypatch.setattr(spectrum_module, "_split_prime", counted)
+    return calls
+
+
+@pytest.mark.parametrize("energy", [4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
+@pytest.mark.parametrize("solve", [rep_search, spectrum_module.form_solutions])
+def test_each_split_prime_is_solved_once(split_prime_calls, energy, solve):
     assert solve(energy)
-    assert sorted(calls) == [p for p in (7, 13, 19, 31, 37) if energy % p == 0]
+    assert sorted(split_prime_calls) == [p for p in (7, 13, 19, 31, 37) if energy % p == 0]
+
+
+@pytest.mark.parametrize("energy", [91, 1267, 4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
+def test_strict_search_after_a_factorization_search_reuses_its_solve(split_prime_calls, energy):
+    reps = rep_search(energy)
+    assert split_prime_calls
+    split_prime_calls.clear()
+    strict = rep_search(energy, RepMode.STRICT)
+    assert split_prime_calls == []
+    assert strict and strict == [r for r in reps if is_strict(r)]
+    # each call hands out its own list: appending to one leaves the next intact
+    reps.append(reps[0])
+    strict.append(strict[0])
+    assert rep_search(energy) == reps[:-1]
+    assert rep_search(energy, RepMode.STRICT) == strict[:-1]
+    assert split_prime_calls == []
 
 
 @pytest.mark.parametrize(

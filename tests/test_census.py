@@ -7,6 +7,7 @@ import oracles
 from triform import (
     BrahmaguptaRep,
     CensusRow,
+    DoubletCoverage,
     Parity,
     RepMode,
     Spectrum,
@@ -18,6 +19,7 @@ from triform import (
     parity_of_energy,
     rep_search,
 )
+from triform.brahmagupta import _strict
 
 TABLE_2700_SAME = {1: 32, 2: 0, 3: 132, 4: 8, 5: 0, 6: 20, 7: 0, 8: 0, 9: 1}
 TABLE_2700_OPPOSITE = {1: 344, 2: 109, 3: 8, 4: 1}
@@ -199,6 +201,28 @@ def test_doublet_coverage_2700(spectrum_2700):
         assert c.rep_count >= c.all_integer_count
     # every doublet level up to 2700 turns out to admit an all-integer rep
     assert [c.energy for c in coverage if c.all_integer_count == 0] == []
+
+
+def test_both_search_orders_match_the_divisor_scan_up_to_3000():
+    # the oracle derives every count from the literal divisor scan, without
+    # the solver or its cache of the last energy's solved tuples
+    spectrum = enumerate_spectrum(3000)
+    expected = []
+    for energy, states in spectrum.raw_items():
+        if energy % 2 and len(states) == 2:
+            reps = [(v1, v2, int(2 * v3), int(2 * v4)) for v1, v2, v3, v4 in oracles.scan_reps(energy)]
+            expected.append(DoubletCoverage(
+                energy,
+                len(reps),
+                sum(a % 2 == 0 and b % 2 == 0 for _, _, a, b in reps),
+                sum(_strict(*rep) for rep in reps),
+            ))
+    assert len(expected) == build_census(spectrum).brahmagupta_total == 123
+    # strict searches first, one energy after another, as `verify --mode strict`
+    bad = check_brahmagupta_conjecture(spectrum, RepMode.STRICT)
+    assert bad == [c.energy for c in expected if c.strict_count == 0] == []
+    # then a factorization search and a strict search of each energy in turn
+    assert doublet_coverage(spectrum) == expected
 
 
 def test_census_agrees_with_checker(spectrum_2700, census_2700):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,9 @@ from triform import (
     parity_of,
     parity_of_energy,
 )
-from triform.spectrum import _UNITS, _WINDOW, _mul, _prime_rows, factorize, form_solutions
+from triform.spectrum import (
+    _UNITS, _WINDOW, _mul, _prime_rows, _solutions, factorize, form_solutions,
+)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +298,40 @@ def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
             for i, u in enumerate(row):
                 for v in row[:i]:
                     assert all(_mul(v, unit) != u for unit in _UNITS), (p, e, u, v)
+
+
+def _exponent_rows(n):
+    """The `_prime_rows` rows of every exponent vector of n, as `rep_search` walks
+    them, empty rows included."""
+    factors = factorize(n)
+    tables = [_prime_rows(p, k) for p, k in factors]
+    for exps in itertools.product(*(range(k + 1) for _, k in factors)):
+        yield [rows[e] for rows, e in zip(tables, exps)]
+
+
+def test_solutions_match_the_unit_loop_up_to_5000():
+    solved = 0
+    for energy in range(1, 5001):
+        for rows in _exponent_rows(4 * energy):
+            expected = oracles.unit_loop_solutions(rows)
+            assert _solutions(rows) == expected, (energy, rows)
+            solved += bool(expected)
+    assert solved > 20000
+
+
+def test_solutions_match_the_unit_loop_on_a_seeded_sample():
+    rng = random.Random(6151)
+    sample = [rng.randint(5001, 10**9) for _ in range(20)]
+    sample += [energy_of((rng.randint(1, 12909), rng.randint(1, 22360))) for _ in range(20)]
+    sample += [energy_of((rng.randint(1, 80), rng.randint(1, 80)))
+               * energy_of((rng.randint(1, 80), rng.randint(1, 80))) for _ in range(20)]
+    solved = 0
+    for energy in sample:
+        for rows in _exponent_rows(4 * energy):
+            expected = oracles.unit_loop_solutions(rows)
+            assert _solutions(rows) == expected, (energy, rows)
+            solved += bool(expected)
+    assert solved > 1000
 
 
 def test_form_solutions_match_scan_up_to_20000():
