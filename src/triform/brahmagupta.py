@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, _prime_rows, _solutions, energy_of, factorize
+from .spectrum import State, StateLike, _factors, _prime_rows, _solutions, energy_of
 
 Rational = Union[int, str, Fraction]
 
@@ -46,7 +46,8 @@ def _frac(value: Rational) -> Fraction:
 
 
 def _doubled(half: Fraction) -> int:
-    """2*half for a half-integer `half`, as an int."""
+    """2*half for a half-integer `half`, as an int; 0 for any other rational,
+    whose denominator exceeds 2."""
     return half.numerator * (2 // half.denominator)
 
 
@@ -90,13 +91,14 @@ def identity_expand(
     return IdentityExpansion(m, product, minus_form, plus_form)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BrahmaguptaRep:
     """A factorization E = (3*v1^2 + v2^2) * (3*v3^2 + v4^2).
 
     v1, v2 are positive integers; v3, v4 positive half-integers (multiples
-    of 1/2).  The second factor may be a non-integer rational; the product
-    must equal the integer energy exactly.
+    of 1/2), normalized to `Fraction`.  The second factor may be a
+    non-integer rational; the product must equal the integer energy exactly.
+    The checks run on the doubled integers a = 2*v3, b = 2*v4.
     """
 
     v1: int
@@ -106,20 +108,23 @@ class BrahmaguptaRep:
     energy: int
 
     def __post_init__(self) -> None:
-        v3, v4 = _frac(self.v3), _frac(self.v4)
-        object.__setattr__(self, "v3", v3)
-        object.__setattr__(self, "v4", v4)
-        if self.v1 < 1 or self.v2 < 1:
+        v3, v4 = self.v3, self.v4
+        if not isinstance(v3, Fraction):
+            v3 = Fraction(v3)
+            object.__setattr__(self, "v3", v3)
+        if not isinstance(v4, Fraction):
+            v4 = Fraction(v4)
+            object.__setattr__(self, "v4", v4)
+        v1, v2 = self.v1, self.v2
+        if v1 < 1 or v2 < 1:
             raise ValueError("v1 and v2 must be positive integers")
-        for v in (v3, v4):
-            if v.numerator <= 0 or v.denominator > 2:
-                raise ValueError(f"v3 and v4 must be positive half-integers, got {v}")
         a, b = _doubled(v3), _doubled(v4)
-        first = 3 * self.v1 * self.v1 + self.v2 * self.v2
-        if first * (3 * a * a + b * b) != 4 * self.energy:
+        if a < 1 or b < 1:
             raise ValueError(
-                f"({self.v1},{self.v2},{v3},{v4}) does not factor {self.energy}"
+                f"v3 and v4 must be positive half-integers, got {v3 if a < 1 else v4}"
             )
+        if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * self.energy:
+            raise ValueError(f"({v1},{v2},{v3},{v4}) does not factor {self.energy}")
 
     @property
     def key(self) -> "tuple[int, int, Fraction, Fraction]":
@@ -127,8 +132,9 @@ class BrahmaguptaRep:
 
 
 def classify_rep(rep: BrahmaguptaRep) -> RepClass:
-    """ALL_INTEGER when v3 and v4 are both integers (v1, v2 always are)."""
-    if rep.v3.denominator == 1 and rep.v4.denominator == 1:
+    """ALL_INTEGER when v3 and v4 are both integers (v1, v2 always are):
+    when both doubled coordinates are even."""
+    if _doubled(rep.v3) % 2 == 0 == _doubled(rep.v4) % 2:
         return RepClass.ALL_INTEGER
     return RepClass.NEEDS_HALF_INTEGER
 
@@ -177,13 +183,17 @@ def _strict(v1: int, v2: int, a: int, b: int) -> bool:
 
     The doublet members are (|v1*b - v2*a|/2, (3*v1*a + v2*b)/2) and
     ((v1*b + v2*a)/2, |3*v1*a - v2*b|/2); each entry must be a positive
-    integer, so each doubled entry a nonzero even number.  The members are
-    always distinct: with all four inputs positive, |v1*b - v2*a| is less
-    than v1*b + v2*a.
+    integer, so each doubled entry a nonzero even number.  The sum and the
+    difference in each position differ by 2*v2*a or 2*v2*b, and 3*v1*a has
+    the parity of v1*a, so two parities decide all four entries:
+    v1*b + v2*a and v1*a + v2*b.  For a rep these two agree: 4 divides the
+    product of forms only when v1 and v2, or a and b, have equal parity, so
+    their sum (v1 + v2)*(a + b) is even, and one parity is tested.  The sums are
+    positive, so only the differences can vanish.  The members are always
+    distinct: with all four inputs positive, |v1*b - v2*a| is less than
+    v1*b + v2*a.
     """
-    doubled = (abs(v1 * b - v2 * a), 3 * v1 * a + v2 * b,
-               v1 * b + v2 * a, abs(3 * v1 * a - v2 * b))
-    return all(x and x % 2 == 0 for x in doubled)
+    return (v1 * b + v2 * a) % 2 == 0 and v1 * b != v2 * a and 3 * v1 * a != v2 * b
 
 
 def is_strict(rep: BrahmaguptaRep) -> bool:
@@ -235,14 +245,17 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
 def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
     """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted.
 
-    4*E is factored once, and each of its primes gets one table of rows
-    (`_prime_rows`), so each split prime is solved once per energy.  The
-    divisors are walked as exponent vectors, and each divisor and its
-    cofactor are solved from one row per prime.  An exponent whose row or
-    cofactor row is empty, such as an odd power of an inert prime, is not
-    walked: one side of the product would have no solution.
+    4*E's factors are read off E's (`_factors`, which `level_of` of the same
+    energy shares), and each prime gets one table of rows (`_prime_rows`),
+    so each split prime is solved once per energy.  The divisors are walked
+    as exponent vectors, and each divisor and its cofactor are solved from
+    one row per prime.  An exponent whose row or cofactor row is empty, such
+    as an odd power of an inert prime, is not walked: one side of the
+    product would have no solution.
     """
-    factors = factorize(4 * energy)
+    (low, k), *rest = factors = _factors(energy)
+    # 4*E: the exponent of 2 raised by 2
+    factors = [(2, k + 2), *rest] if low == 2 else [(2, 2), *factors]
     tables = [_prime_rows(p, k) for p, k in factors]
     ranges = [[e for e, row in enumerate(rows) if row and rows[-1 - e]] for rows in tables]
     solved = {

@@ -13,11 +13,14 @@ through one cell rule (`_cell`: a tuple is a pair, a list joins its cells),
 and the table is a list of lines read off the same records.  No view goes
 back to the domain objects.
 
-`spectrum` is the one command whose output grows with --emax, so it keeps
-no record of the whole result: it writes each level as the spectrum's
-windowed walk yields it.  Its JSON is written by a per-level template whose
-bytes equal the `json.dump` of the whole document, and its CSV and table
-views read a stream of level records through `_render`.
+Two JSON views are templates instead, written piece by piece in bytes equal
+to the `json.dump` of the whole document: with `indent` set, `json` uses
+its pure-Python encoder, one call per list element.
+`spectrum`, whose output grows with --emax, keeps no record of the whole
+result: it writes each level as the spectrum's windowed walk yields it, and
+its CSV and table views read a stream of level records through `_render`.
+`level` builds its record, with its reps counted and printed off their
+doubled coordinates in one pass, and writes the JSON one rep at a time.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error.
@@ -38,13 +41,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
-    RepClass,
     RepMode,
+    _doubled,
+    _strict,
     classify_rep,
     doublet_from_rep,
     identity_expand,
     inverse_rep,
-    is_strict,
     rep_search,
 )
 # check_perrin_conjecture is not called here, but perfbench/tracing.py wraps
@@ -229,6 +232,32 @@ def _level_table(doc: dict, rows: "list[dict]") -> "list[str]":
     ]
 
 
+def _half_text(n: int) -> str:
+    """n/2 as `str(Fraction(n, 2))` prints it: "k" for n = 2k, else "n/2"."""
+    return f"{n}/2" if n % 2 else str(n >> 1)
+
+
+def _write_level_json(doc: dict) -> None:
+    """Write the level document: the bytes equal `json.dump(doc, indent=2)`
+    plus a newline, with each rep written as its own piece."""
+    write = sys.stdout.write
+    seed, counts = doc["perrin_seed"], doc["rep_counts"]
+    seed_text = f"[\n    {seed[0]},\n    {seed[1]}\n  ]" if seed else "null"
+    pairs = ",\n".join([f"    [\n      {a},\n      {b}\n    ]" for a, b in doc["states"]])
+    write(f'{{\n  "energy": {doc["energy"]},\n  "parity": "{doc["parity"]}",\n'
+          f'  "degeneracy": {doc["degeneracy"]},\n  "states": [\n{pairs}\n  ],\n'
+          f'  "perrin_seed": {seed_text},\n  "reps": [')
+    sep = "\n"
+    for v1, v2, v3, v4 in doc["reps"]:
+        write(f'{sep}    [\n      {v1},\n      {v2},\n      "{v3}",\n      "{v4}"\n    ]')
+        sep = ",\n"
+    write("]" if sep == "\n" else "\n  ]")
+    write(f',\n  "rep_counts": {{\n'
+          f'    "factorization": {counts["factorization"]},\n'
+          f'    "all_integer": {counts["all_integer"]},\n'
+          f'    "strict": {counts["strict"]}\n  }}\n}}\n')
+
+
 def cmd_level(args: argparse.Namespace) -> int:
     if args.energy < 1:
         return _fail_usage("energy must be a positive integer")
@@ -238,20 +267,27 @@ def cmd_level(args: argparse.Namespace) -> int:
         return 1
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
+    # One pass on the doubled coordinates a = 2*v3, b = 2*v4: a rep is
+    # all-integer when both are even, and v3, v4 print as "k" or "k/2".
+    rows = []
+    all_integer = strict = 0
+    for r in reps:
+        v1, v2, a, b = r.v1, r.v2, _doubled(r.v3), _doubled(r.v4)
+        all_integer += a % 2 == 0 == b % 2
+        strict += _strict(v1, v2, a, b)
+        rows.append((v1, v2, _half_text(a), _half_text(b)))
     doc = {
         # a list of states: `_cell` would print a tuple of them as one pair
         **_level_record(level.energy, list(level.states)),
         "perrin_seed": (seed.m1, seed.m2) if seed else None,
-        "reps": [[r.v1, r.v2, str(r.v3), str(r.v4)] for r in reps],
-        "rep_counts": {
-            "factorization": len(reps),
-            "all_integer": sum(classify_rep(r) is RepClass.ALL_INTEGER for r in reps),
-            "strict": sum(map(is_strict, reps)),
-        },
+        "reps": rows,
+        "rep_counts": {"factorization": len(rows), "all_integer": all_integer,
+                       "strict": strict},
     }
-    counts = doc["rep_counts"]
-    row = {**doc, "reps": counts["factorization"],
-           "all_integer_reps": counts["all_integer"], "strict_reps": counts["strict"]}
+    if args.format == "json":
+        _write_level_json(doc)
+        return 0
+    row = {**doc, "reps": len(rows), "all_integer_reps": all_integer, "strict_reps": strict}
     header = ["energy", "parity", "degeneracy", "states", "perrin_seed", "reps",
               "all_integer_reps", "strict_reps"]
     _render(args, doc, header, [row], _level_table)

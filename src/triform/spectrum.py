@@ -24,6 +24,7 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 
@@ -306,6 +307,18 @@ def factorize(n: int) -> "list[tuple[int, int]]":
     return factors
 
 
+@lru_cache(maxsize=1)
+def _factors(n: int) -> "tuple[tuple[int, int], ...]":
+    """`factorize(n)` as a tuple, kept for the last n asked.
+
+    A `level` query factors E for its states (`form_solutions`) and again for
+    its reps (`brahmagupta._rep_tuples`, which reads 4E's factors off E's), so
+    the two share one trial division.  The tuple is immutable, so no caller
+    can change what the next one reads.
+    """
+    return tuple(factorize(n))
+
+
 # Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2, held as pairs (a, b).
 # The norm is a^2 - a*b + b^2, and a + b*w with b = 2x even is y + x*sqrt(-3)
 # for y = a - x, of norm 3*x^2 + y^2.  The ring has unique factorization and
@@ -382,14 +395,14 @@ def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
 def form_solutions(n: int) -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
 
-    Factors n once (`factorize`) and multiplies, over the primes p^k of n,
+    Factors n once (`_factors`) and multiplies, over the primes p^k of n,
     one Eisenstein integer of norm p^k from row k of `_prime_rows` (built
     alone), in every combination.  Times the six units, the elements
     y + x*sqrt(-3) with x, y >= 1 are the solutions.  Empty for n < 4.
     """
     if n < 4:
         return []
-    return _solutions([_prime_rows(p, k, k)[0] for p, k in factorize(n)])
+    return _solutions([_prime_rows(p, k, k)[0] for p, k in _factors(n)])
 
 
 def level_of(energy: int) -> Optional[EnergyLevel]:

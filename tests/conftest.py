@@ -5,16 +5,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from triform import brahmagupta, enumerate_spectrum
+from triform import brahmagupta, enumerate_spectrum, spectrum
 
 import oracles
 
 
 @pytest.fixture(autouse=True)
 def cold_rep_cache():
-    # rep_search keeps the last energy's solved tuples; a test that counts
-    # solver calls or monkeypatches the solver must not read a cached energy.
+    # rep_search keeps the last energy's solved tuples and spectrum its last
+    # factorization; a test that counts solver or factorization calls, or
+    # monkeypatches either, must not read a cached energy.
     brahmagupta._rep_tuples.cache_clear()
+    spectrum._factors.cache_clear()
 
 
 @pytest.fixture(scope="session")

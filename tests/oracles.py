@@ -8,6 +8,7 @@ tests were computed with these functions.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -117,6 +118,20 @@ def unit_loop_solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int,
                 solutions.append((b // 2, a - b // 2))
     solutions.sort()
     return solutions
+
+
+def seeded_realized_energies(seed, count: int, lo: int, hi: int) -> "list[int]":
+    """`count` realized energies in [lo, hi], drawn log-uniform from `seed`:
+    a random n1 below each target, and the largest n2 that stays under it."""
+    rng = random.Random(seed)
+    energies = []
+    while len(energies) < count:
+        target = int(lo * (hi / lo) ** rng.random())
+        n1 = rng.randint(1, math.isqrt((target - 1) // 3))
+        energy = 3 * n1 * n1 + math.isqrt(target - 3 * n1 * n1) ** 2
+        if lo <= energy:
+            energies.append(energy)
+    return energies
 
 
 def scan_reps(energy: int) -> "list[tuple[int, int, Fraction, Fraction]]":

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -22,7 +22,7 @@ from triform import (
     signed_doublet,
 )
 from triform import spectrum as spectrum_module
-from triform.brahmagupta import is_strict
+from triform.brahmagupta import _strict, is_strict
 
 # all sixteen factorization reps of 91, frozen from the quadruple-loop oracle
 REPS_91 = [
@@ -132,6 +132,53 @@ def test_rep_validation():
         BrahmaguptaRep(1, 2, F(-2), F(1), 91)
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        ((1, 2, 2, 1), (1, 2, F(2), F(1))),
+        ((1, 2, "2", "1"), (1, 2, F(2), F(1))),
+        ((1, 2, F(2), "1"), (1, 2, F(2), F(1))),
+        ((1, 2, 2, F(1)), (1, 2, F(2), F(1))),
+        ((2, 4, "1", "1/2"), (2, 4, F(1), F(1, 2))),
+        ((2, 4, F(1), F(1, 2)), (2, 4, F(1), F(1, 2))),
+    ],
+)
+def test_rep_normalizes_v3_and_v4_to_fractions(args, key):
+    rep = BrahmaguptaRep(*args, 91)
+    assert rep.key == key and type(rep.v3) is F and type(rep.v4) is F
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 2, 2, 1, 92), "does not factor 92"),
+        ((1, 2, "2", "1", 90), "does not factor 90"),
+        ((0, 2, 2, 1, 16), "v1 and v2 must be positive"),
+        ((1, -2, 2, 1, 91), "v1 and v2 must be positive"),
+        ((1, 2, F(1, 3), 1, 91), "got 1/3"),
+        ((1, 2, 2, "1/3", 91), "got 1/3"),
+        ((1, 2, "2/3", "2/3", 91), "got 2/3"),
+        ((1, 2, F(3, 4), 1, 91), "got 3/4"),
+        ((1, 2, 0, 1, 91), "got 0"),
+        ((1, 2, 2, F(-1, 2), 91), "got -1/2"),
+        ((1, 2, -2, -1, 91), "got -2"),
+    ],
+)
+def test_rep_rejections_name_the_bad_value(args, message):
+    with pytest.raises(ValueError, match=message):
+        BrahmaguptaRep(*args)
+
+
+def test_rep_is_slotted_and_frozen():
+    rep = BrahmaguptaRep(1, 2, F(2), F(1), 91)
+    assert not hasattr(rep, "__dict__")
+    for name in ("v1", "v2", "v3", "v4", "energy"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, 5)
+    assert rep == BrahmaguptaRep(1, 2, 2, 1, 91) and rep.key == (1, 2, F(2), F(1))
+    assert hash(rep) == hash(BrahmaguptaRep(1, 2, "2", "1", 91))
+
+
 def test_rep_validation_is_exact_on_half_integers():
     # (3 + 1) * (3/4 + 9/4) = 12: the product check must not round 13 to it
     assert BrahmaguptaRep(1, 1, F(1, 2), F(3, 2), 12).key == (1, 1, F(1, 2), F(3, 2))
@@ -157,16 +204,35 @@ def test_rep_search_91_strict():
     assert keys(rep_search(91, RepMode.STRICT)) == STRICT_91
 
 
-def test_is_strict_agrees_with_the_rational_doublet():
+def _check_against_the_rational_doublet(rep):
+    """Strictness from the doublet's `Fraction` arithmetic and the class from
+    the denominators of v3 and v4, against the integer forms; returns both."""
+    doublet = doublet_from_rep(rep)
+    assert doublet.is_distinct, rep  # |v1*v4 - v2*v3| < v1*v4 + v2*v3
+    strict = doublet.is_state_pair
+    a, b = 2 * rep.v3, 2 * rep.v4
+    assert is_strict(rep) == _strict(rep.v1, rep.v2, int(a), int(b)) == strict, rep
+    integer = rep.v3.denominator == 1 and rep.v4.denominator == 1
+    assert (classify_rep(rep) is RepClass.ALL_INTEGER) == integer, rep
+    return strict, integer
+
+
+def test_is_strict_agrees_with_the_rational_doublet(oracle_reps_5000):
     outcomes = set()
-    for energy in range(4, 3001):
-        for rep in rep_search(energy):
-            doublet = doublet_from_rep(rep)
-            assert doublet.is_distinct, rep  # |v1*v4 - v2*v3| < v1*v4 + v2*v3
-            expected = doublet.is_state_pair and doublet.is_distinct
-            assert is_strict(rep) == expected, rep
-            outcomes.add(expected)
-    assert outcomes == {True, False}
+    for energy, reps in oracle_reps_5000.items():
+        for rep in reps:
+            outcomes.add(_check_against_the_rational_doublet(BrahmaguptaRep(*rep, energy)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_strict_and_classify_agree_with_the_rational_doublet_up_to_1e9():
+    outcomes = set()
+    for energy in oracles.seeded_realized_energies(1729, 50, 5001, 10**9):
+        reps = rep_search(energy)
+        assert reps, energy
+        outcomes.update(_check_against_the_rational_doublet(rep) for rep in reps)
+    # an all-integer rep whose doublet is not a state pair is rare this high
+    assert outcomes >= {(True, True), (True, False), (False, False)}
 
 
 def test_strict_reps_land_in_the_level():
@@ -218,19 +284,7 @@ def test_rep_search_completeness_oracle(oracle_reps_5000):
         assert keys(rep_search(energy)) == expected, energy
 
 
-def _seeded_realized_energies(seed, count, lo, hi):
-    rng = random.Random(seed)
-    energies = []
-    while len(energies) < count:
-        target = int(lo * (hi / lo) ** rng.random())
-        n1 = rng.randint(1, math.isqrt((target - 1) // 3))
-        energy = 3 * n1 * n1 + math.isqrt(target - 3 * n1 * n1) ** 2
-        if lo <= energy:
-            energies.append(energy)
-    return energies
-
-
-LARGE_REP_ENERGIES = _seeded_realized_energies(8128, 16, 10**5, 10**8) + [
+LARGE_REP_ENERGIES = oracles.seeded_realized_energies(8128, 16, 10**5, 10**8) + [
     4 * 7**2 * 13 * 27, 4 * 25 * 7 * 13 * 19, 7**4 * 13**2,
     4 * 3**5 * 7 * 13, 4 * 7 * 13 * 19 * 31 * 37, 4 * 7 * 13 * 49 * 121,
 ]

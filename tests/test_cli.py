@@ -13,7 +13,11 @@ import pytest
 
 import oracles
 import triform.cli as cli
-from triform import RepMode, build_census, enumerate_spectrum, parity_of, rep_search
+import triform.spectrum as spectrum_module
+from triform import (
+    RepMode, build_census, doublet_from_rep, enumerate_spectrum, level_of,
+    match_perrin, parity_of, rep_search,
+)
 from triform.cli import _cell, build_parser, main, parse_rational
 from triform.spectrum import _WINDOW
 
@@ -224,6 +228,69 @@ def test_level_absent(capsys):
     code, _, err = run_cli(capsys, "level", "5")
     assert code == 1
     assert "no such level" in err
+
+
+def level_doc(energy: int, reps=None) -> dict:
+    """The `level --format json` document rebuilt from the library's objects:
+    v3 and v4 printed by `str(Fraction)`, the all-integer count read off
+    their denominators, the strict count off the rational doublet."""
+    level = level_of(energy)
+    seed = match_perrin(level)
+    reps = rep_search(energy) if reps is None else reps
+    return {
+        "energy": energy,
+        "parity": parity_of(level).value,
+        "degeneracy": level.degeneracy,
+        "states": [list(s) for s in level.states],
+        "perrin_seed": [seed.m1, seed.m2] if seed else None,
+        "reps": [[r.v1, r.v2, str(r.v3), str(r.v4)] for r in reps],
+        "rep_counts": {
+            "factorization": len(reps),
+            "all_integer": sum(r.v3.denominator == 1 == r.v4.denominator for r in reps),
+            "strict": sum(doublet_from_rep(r).is_state_pair for r in reps),
+        },
+    }
+
+
+# 196 has a Perrin seed and 91 none; 4 * 999999937 is a prime-heavy level
+# with a seed and 3999999979 a prime one without.
+TEMPLATE_ENERGIES = [4, 91, 196, 4 * 999999937, 3999999979] + \
+    oracles.seeded_realized_energies(2024, 30, 10**4, 10**12)
+
+
+@pytest.mark.parametrize("energy", TEMPLATE_ENERGIES)
+def test_level_json_template_equals_json_dump(capsys, energy):
+    code, out, _ = run_cli(capsys, "level", str(energy), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(level_doc(energy), indent=2) + "\n"
+
+
+def test_level_json_template_cases_cover_both_seed_outcomes():
+    seeds = [level_doc(e)["perrin_seed"] for e in (91, 196, 4 * 999999937, 3999999979)]
+    assert seeds == [None, [3, 5], [11953, 23904], None]
+
+
+def test_level_json_template_with_no_reps(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rep_search", lambda energy, mode=None: [])
+    code, out, _ = run_cli(capsys, "level", "196", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(level_doc(196, reps=[]), indent=2) + "\n"
+    assert '"reps": [],' in out
+
+
+def test_level_factors_the_energy_once(capsys, monkeypatch):
+    # level_of factors E for the states, rep_search 4*E for the reps; every
+    # triform module that holds `factorize` gets the counting one
+    runs = []
+    factorize = spectrum_module.factorize
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "triform" and getattr(module, "factorize", None) is factorize:
+            monkeypatch.setattr(module, "factorize", lambda n: runs.append(n) or factorize(n))
+    energies = [91, 196, 4 * 7 * 13 * 19 * 31 * 37, 4 * 999999937, 3999999979]
+    for energy, fmt in zip(energies, ["json", "csv", "table", "json", "csv"]):
+        code, _, _ = run_cli(capsys, "level", str(energy), "--format", fmt)
+        assert code == 0
+    assert runs == energies
 
 
 # ------------------------------------------------------------------ verify
