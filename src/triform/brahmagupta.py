@@ -91,7 +91,7 @@ def identity_expand(
     return IdentityExpansion(m, product, minus_form, plus_form)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BrahmaguptaRep:
     """A factorization E = (3*v1^2 + v2^2) * (3*v3^2 + v4^2).
 
@@ -99,7 +99,16 @@ class BrahmaguptaRep:
     of 1/2), normalized to `Fraction`.  The second factor may be a
     non-integer rational; the product must equal the integer energy exactly.
     The checks run on the doubled integers a = 2*v3, b = 2*v4.
+
+    The slots are declared here rather than by `slots=True`: on Python 3.10
+    to 3.13 that option rebuilds the class, and the frozen `__setattr__`
+    made for the class before it raises TypeError instead of
+    FrozenInstanceError for a name that is not a field.  Pickling and
+    `copy` rebuild a rep through the constructor (`__reduce__`), since the
+    frozen class cannot have its slots assigned.
     """
+
+    __slots__ = ("v1", "v2", "v3", "v4", "energy")
 
     v1: int
     v2: int
@@ -125,6 +134,9 @@ class BrahmaguptaRep:
             )
         if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * self.energy:
             raise ValueError(f"({v1},{v2},{v3},{v4}) does not factor {self.energy}")
+
+    def __reduce__(self):
+        return (BrahmaguptaRep, (self.v1, self.v2, self.v3, self.v4, self.energy))
 
     @property
     def key(self) -> "tuple[int, int, Fraction, Fraction]":

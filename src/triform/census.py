@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .brahmagupta import RepClass, RepMode, classify_rep, rep_search
 from .perrin import match_perrin
-from .spectrum import Parity, Spectrum
+from .spectrum import Parity, Spectrum, _stripes
 
 # Table-style reports always pad degeneracy rows out to these minimums so a
 # census at any e_max keeps the same row structure.
@@ -70,18 +70,22 @@ class CensusReport:
 def build_census(spectrum: Spectrum) -> CensusReport:
     """Exact degeneracy-by-parity histogram plus conjecture tallies.
 
-    Reads only the count table (`Spectrum.degeneracies`), never a state.
-    Same-parity energies are E = 0 (mod 4), the slice c[0::4], and
-    opposite-parity energies are the odd E, the slice c[1::2]; each row of
-    the histogram is one `bytes.count` over a slice.
+    Reads only the count windows (`Spectrum.count_windows`), one at a time,
+    never a state and never a whole-range table, so memory stays flat as
+    e_max grows.  A window starts at a multiple of 4, so its same-parity
+    energies, E = 0 (mod 4), are the slice c[0::4], and its opposite-parity
+    energies, the odd E, are c[1::2].  Each row of the histogram sums one
+    `bytes.count` per slice and window (`_tally`).
 
     Perrin tally: a same-parity 3-fold level holds a triplet exactly when
     some seed (m1, m2), m2 > m1 >= 1, has its energy 4*(m1^2 + m1*m2 + m2^2),
     because the seed's triplet is then three distinct states of the level,
-    which has no others.  So the seed walk zeroes the entry q = E/4 of every
-    seed energy in a copy of c[0::4], and every entry still equal to 3 is a
-    counterexample at E = 4q.  `find_seed` over the states is the
-    independent route (`check_perrin_conjecture`).
+    which has no others.  That energy is 3*m1^2 + (m1 + 2*m2)^2, so the seed
+    energies are those of the states (n1, n2) with n2 > 3*n1 and n2 = n1
+    (mod 2), and the stripe bounds of the window (`_stripes`) find them.
+    The walk zeroes the count of each seed energy in the window, and every
+    same-parity count still equal to 3 is a counterexample.  `find_seed`
+    over the states is the independent route (`check_perrin_conjecture`).
 
     Doublet coverage needs no search at all: each level state (n1, n2)
     witnesses the representation (1, 1, n1/2, n2/2) of its own energy,
@@ -90,31 +94,34 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     full search-based checker (`check_brahmagupta_conjecture`) is the slow,
     independent route.
     """
-    counts = spectrum.degeneracies()
-    by_parity = {Parity.SAME: counts[0::4], Parity.OPPOSITE: counts[1::2]}
+    # levels[parity][g - 1]: number of levels of degeneracy g
+    levels: "dict[Parity, list[int]]" = {Parity.SAME: [], Parity.OPPOSITE: []}
+    perrin_exceptions = []
+    squares = [n2 * n2 for n2 in range(math.isqrt(spectrum.e_max) + 1)]
+    for lo, counts in spectrum.count_windows():
+        same = counts[0::4]
+        _tally(levels[Parity.SAME], same)
+        _tally(levels[Parity.OPPOSITE], counts[1::2])
+        if 3 not in same:
+            continue
+        for n1, offset, first, stop in _stripes(lo, lo + len(counts)):
+            if stop <= 3 * n1 + 1:
+                break  # no seed state for this n1 or any larger one
+            start = max(first, 3 * n1 + 1)
+            for square in squares[start + (start - n1) % 2:stop:2]:
+                counts[offset + square] = 0
+        unmatched = counts[0::4]
+        q = unmatched.find(3)
+        while q >= 0:
+            perrin_exceptions.append(lo + 4 * q)
+            q = unmatched.find(3, q + 1)
 
     rows = []
-    for parity, slice_ in by_parity.items():
-        top = max(_MIN_ROWS[parity], max(slice_))
-        for g in range(1, top + 1):
-            levels = slice_.count(g)
-            rows.append(CensusRow(parity, g, levels, levels * g))
-
-    unmatched = bytearray(by_parity[Parity.SAME])
-    q_max = spectrum.e_max // 4
-    m1 = 1
-    while 3 * m1 * m1 + 3 * m1 + 1 <= q_max:  # the seed (m1, m1 + 1) fits
-        for m2 in range(m1 + 1, (math.isqrt(4 * q_max - 3 * m1 * m1) - m1) // 2 + 1):
-            unmatched[m1 * m1 + m1 * m2 + m2 * m2] = 0
-        m1 += 1
-    perrin_exceptions = []
-    q = unmatched.find(3)
-    while q >= 0:
-        perrin_exceptions.append(4 * q)
-        q = unmatched.find(3, q + 1)
-
-    perrin_total = by_parity[Parity.SAME].count(3)
-    doublet_total = by_parity[Parity.OPPOSITE].count(2)
+    for parity, by_g in levels.items():
+        by_g += [0] * (_MIN_ROWS[parity] - len(by_g))
+        rows += [CensusRow(parity, g, n, n * g) for g, n in enumerate(by_g, 1)]
+    perrin_total = levels[Parity.SAME][2]
+    doublet_total = levels[Parity.OPPOSITE][1]
     return CensusReport(
         e_max=spectrum.e_max,
         rows=tuple(rows),
@@ -125,6 +132,23 @@ def build_census(spectrum: Spectrum) -> CensusReport:
         brahmagupta_covered=doublet_total,
         brahmagupta_exceptions=(),
     )
+
+
+def _tally(by_g: "list[int]", counts: bytearray) -> None:
+    """Add to by_g[g - 1] the number of entries of `counts` equal to g, for
+    every g >= 1.  The zeros go first, and the counting stops as soon as the
+    levels counted reach the nonzero entries, so it never scans for a g that
+    no entry holds."""
+    nonzero = counts.translate(None, b"\0")
+    seen = g = 0
+    while seen < len(nonzero):
+        g += 1
+        found = nonzero.count(g)
+        if g > len(by_g):
+            by_g.append(found)
+        else:
+            by_g[g - 1] += found
+        seen += found
 
 
 def check_perrin_conjecture(spectrum: Spectrum) -> "list[int]":

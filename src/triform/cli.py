@@ -13,14 +13,15 @@ through one cell rule (`_cell`: a tuple is a pair, a list joins its cells),
 and the table is a list of lines read off the same records.  No view goes
 back to the domain objects.
 
-Two JSON views are templates instead, written piece by piece in bytes equal
-to the `json.dump` of the whole document: with `indent` set, `json` uses
-its pure-Python encoder, one call per list element.
+Three JSON views are templates instead, written piece by piece in bytes
+equal to the `json.dump` of the whole document: with `indent` set, `json`
+uses its pure-Python encoder, one call per list element.
 `spectrum`, whose output grows with --emax, keeps no record of the whole
 result: it writes each level as the spectrum's windowed walk yields it, and
 its CSV and table views read a stream of level records through `_render`.
 `level` builds its record, with its reps counted and printed off their
-doubled coordinates in one pass, and writes the JSON one rep at a time.
+doubled coordinates in one pass, and writes the JSON one rep at a time;
+`braham reps` writes its reps the same way.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error.
@@ -381,6 +382,20 @@ def _reps_table(doc: dict, reps: "list[dict]") -> "list[str]":
     ]
 
 
+def _write_reps_json(doc: dict) -> None:
+    """Write the reps document: the bytes equal `json.dump(doc, indent=2)`
+    plus a newline, with each rep written as its own piece."""
+    write = sys.stdout.write
+    write(f'{{\n  "energy": {doc["energy"]},\n  "mode": "{doc["mode"]}",\n  "reps": [')
+    sep = "\n"
+    for r in doc["reps"]:
+        write(f'{sep}    {{\n      "v1": {r["v1"]},\n      "v2": {r["v2"]},\n'
+              f'      "v3": "{r["v3"]}",\n      "v4": "{r["v4"]}",\n'
+              f'      "class": "{r["class"]}"\n    }}')
+        sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
 def cmd_braham_reps(args: argparse.Namespace) -> int:
     if args.energy < 4:
         return _fail_usage("energy must be at least 4")
@@ -391,6 +406,9 @@ def cmd_braham_reps(args: argparse.Namespace) -> int:
         for r in rep_search(args.energy, mode)
     ]
     doc = {"energy": args.energy, "mode": mode.value, "reps": reps}
+    if args.format == "json":
+        _write_reps_json(doc)
+        return 0
     _render(args, doc, ["v1", "v2", "v3", "v4", "class"], reps, _reps_table)
     return 0
 

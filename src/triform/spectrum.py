@@ -19,8 +19,10 @@ enumeration bound.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -113,17 +115,18 @@ class Spectrum(Mapping):
     """Immutable map from energy to :class:`EnergyLevel` for all E <= e_max.
 
     Iteration yields energies in ascending order.  Nothing is enumerated at
-    construction, and the one store is the count table (`degeneracies`),
-    one byte per energy, built on first use and cached.  It is the only
-    index: iteration, `len`, `state_count`, `degeneracy_of` and `in` read
-    it alone.
+    construction.  Two windowed walks read the range, each afresh on every
+    call: `count_windows` yields the state count of every energy, one
+    window of `_COUNT_WINDOW` energies at a time, and `raw_items` yields
+    the states of every level, one window of `_WINDOW` energies at a time.
+    Each holds one window and never the whole range, so memory stays flat
+    as e_max grows.
 
-    No state is stored.  The walks over the whole range, `raw_items` and
-    `iter_levels`, stripe the states afresh on each call, one window of
-    2^16 energies at a time, so they hold one window's states and never
-    the table: memory stays flat as e_max grows.  `[]` and `get` solve
-    their one energy (`level_of`), so one level costs its own states.  The
-    views inherited from Mapping (`items`, `values`, `==`) solve every
+    The one store is the count table (`degeneracies`), one byte per energy,
+    joined from the count windows on first use and cached: iteration,
+    `len`, `state_count`, `degeneracy_of` and `in` read it.  `[]` and `get`
+    solve their one energy (`level_of`), so one level costs its own states.
+    The views inherited from Mapping (`items`, `values`, `==`) solve every
     energy one at a time, about three times slower than one walk at
     e_max = 10^6; read the whole map with `iter_levels` or `raw_items`
     instead.  The table is a pure function of e_max, so concurrent readers
@@ -137,8 +140,8 @@ class Spectrum(Mapping):
     ):
         # Internal constructor: use enumerate_spectrum().  Explicit buckets
         # map energy -> list of (n1, n2) already ascending in n1; then the
-        # count table is read off their lengths and `raw_items` reads them
-        # in place of the walk.  `[]` never reads them.
+        # count windows are read off their lengths and `raw_items` reads
+        # them in place of the walk.  `[]` never reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
@@ -147,12 +150,17 @@ class Spectrum(Mapping):
     def e_max(self) -> int:
         return self._e_max
 
-    def degeneracies(self) -> bytes:
-        """Number of states of every energy 0..e_max, one byte each (index = energy).
+    def count_windows(self) -> "Iterator[tuple[int, bytearray]]":
+        """(lo, counts) for consecutive windows that cover 0..e_max: counts[i]
+        is the number of states of energy lo + i.
 
-        One stripe pass: for each n1, add 1 at 3*n1^2 + k^2 for every square
-        k^2 that fits; explicit buckets given to the constructor are read
-        off by their lengths instead.
+        Every window but the last holds `_COUNT_WINDOW` energies, so each lo
+        is a multiple of that power of two (and of 4).  Each window is a
+        fresh `bytearray` the caller may change.  The stripe adds 1 at
+        3*n1^2 + n2^2 for every state in the window (`_stripes`); explicit
+        buckets given to the constructor are read off by their lengths
+        instead, and a count table already built (`degeneracies`) is read
+        in place of either.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping.  Realized degeneracies stay far
@@ -160,18 +168,46 @@ class Spectrum(Mapping):
         count over the primes p = 1 (mod 3), first passes 255 only near
         E = 10^12 (the largest g is 108 up to 10^9 and 216 up to 10^11).
         """
+        end = self._e_max + 1
+        squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
+        for lo in range(0, end, _COUNT_WINDOW):
+            yield lo, self._window_counts(lo, min(lo + _COUNT_WINDOW, end), squares)
+
+    def _window_counts(self, lo: int, hi: int, squares: "list[int]") -> bytearray:
+        """The counts of the energies [lo, hi); squares[n2] is n2^2.  Once the
+        whole table is built, a window is a copy of its slice, so a census
+        after `len` or `state_count` does not stripe the range again."""
+        if self._counts is not None:
+            return bytearray(memoryview(self._counts)[lo:hi])
+        counts = bytearray(hi - lo)
+        if self._buckets is None:
+            for _, offset, first, stop in _stripes(lo, hi):
+                for square in squares[first:stop]:
+                    counts[offset + square] += 1
+        else:
+            for energy, states in self._buckets.items():
+                if lo <= energy < hi:
+                    counts[energy - lo] = len(states)
+        return counts
+
+    def degeneracies(self) -> bytes:
+        """Number of states of every energy 0..e_max, one byte each (index = energy).
+
+        The count windows (`count_windows`) written one after the other into
+        a buffer sized for the whole table, whose bytes `getvalue` hands
+        over without a copy (CPython): the build holds the table and one
+        window, where a `bytearray` table and its `bytes` copy took twice
+        the table.
+        Raises ValueError, as the windows do, for a count above 255.
+        """
         if self._counts is None:
-            counts = bytearray(self._e_max + 1)
-            if self._buckets is not None:
-                for energy, states in self._buckets.items():
-                    counts[energy] = len(states)
-            else:
-                squares = [k * k for k in range(1, math.isqrt(self._e_max) + 1)]
-                for n1 in range(1, math.isqrt((self._e_max - 1) // 3) + 1):
-                    base = 3 * n1 * n1
-                    for square in squares[: math.isqrt(self._e_max - base)]:
-                        counts[base + square] += 1
-            self._counts = bytes(counts)
+            table = io.BytesIO()
+            table.seek(self._e_max)
+            table.write(b"\0")  # size the buffer once, zero-filled
+            table.seek(0)
+            # map keeps no window alive while the next one is built
+            table.writelines(map(operator.itemgetter(1), self.count_windows()))
+            self._counts = table.getvalue()
         return self._counts
 
     @property
@@ -236,26 +272,40 @@ def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
 # one window's states take a few MB.
 _WINDOW = 1 << 16
 
+# Energies per window of `Spectrum.count_windows`: one byte each, so a
+# window is 1 MB and stays in cache while the stripe writes into it.  A
+# whole-range table at 2*10^7 took about twice as long to stripe.
+_COUNT_WINDOW = 1 << 20
+
+
+def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
+    """(n1, offset, first, stop) for every n1 whose states can reach the
+    energies [lo, hi), ascending: the states in the window are (n1, n2) for
+    n2 in range(first, stop), which may be empty, and (n1, n2) has the
+    energy lo + offset + n2^2.  The one place the stripe bounds are worked
+    out: the count windows, the level walk and the census seed walk share it."""
+    n1 = 1
+    while (base := 3 * n1 * n1) + 1 < hi:
+        first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
+        yield n1, base - lo, first, math.isqrt(hi - 1 - base) + 1
+        n1 += 1
+
 
 def _window_items(lo: int, hi: int) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
     """(energy, states) for every realized energy in [lo, hi), ascending.
 
     Stripes over n1, and for each n1 over the n2 whose energy falls in the
-    window, so each level is built already sorted by n1.
+    window (`_stripes`), so each level is built already sorted by n1.
     """
     slots: "list[Optional[list[tuple[int, int]]]]" = [None] * (hi - lo)
-    n1 = 1
-    while (base := 3 * n1 * n1) + 1 < hi:
-        first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
-        offset = base - lo
-        for n2 in range(first, math.isqrt(hi - 1 - base) + 1):
+    for n1, offset, first, stop in _stripes(lo, hi):
+        for n2 in range(first, stop):
             at = offset + n2 * n2
             states = slots[at]
             if states is None:
                 slots[at] = [(n1, n2)]
             else:
                 states.append((n1, n2))
-        n1 += 1
     return itertools.compress(zip(range(lo, hi), slots), slots)
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -177,6 +179,22 @@ def test_rep_is_slotted_and_frozen():
             setattr(rep, name, 5)
     assert rep == BrahmaguptaRep(1, 2, 2, 1, 91) and rep.key == (1, 2, F(2), F(1))
     assert hash(rep) == hash(BrahmaguptaRep(1, 2, "2", "1", 91))
+
+
+def test_rep_rejects_a_new_attribute_as_frozen():
+    # With `slots=True`, Python 3.10 to 3.13 raised TypeError here.
+    rep = BrahmaguptaRep(1, 2, F(2), F(1), 91)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rep.v1
+    assert rep.key == (1, 2, F(2), F(1))
+
+
+def test_rep_survives_pickle_and_copy():
+    rep = BrahmaguptaRep(1, 1, F(3, 2), F(4), 91)
+    for clone in (pickle.loads(pickle.dumps(rep)), copy.copy(rep), copy.deepcopy(rep)):
+        assert clone == rep and clone.key == rep.key and clone.energy == 91
 
 
 def test_rep_validation_is_exact_on_half_integers():

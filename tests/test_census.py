@@ -19,7 +19,9 @@ from triform import (
     parity_of_energy,
     rep_search,
 )
+from triform import spectrum as spectrum_module
 from triform.brahmagupta import _strict
+from triform.spectrum import _COUNT_WINDOW
 
 TABLE_2700_SAME = {1: 32, 2: 0, 3: 132, 4: 8, 5: 0, 6: 20, 7: 0, 8: 0, 9: 1}
 TABLE_2700_OPPOSITE = {1: 344, 2: 109, 3: 8, 4: 1}
@@ -92,6 +94,51 @@ def test_census_reports_a_3_fold_level_no_seed_reaches():
     assert report.perrin_exceptions == (4,)
     assert report.perrin_matched < report.perrin_total
     assert report == oracles.bucket_census(spectrum)
+
+
+@pytest.mark.parametrize("e_max", [k * _COUNT_WINDOW + d for k in (1, 2) for d in (-1, 0, 1)])
+def test_census_equals_the_bucket_census_at_window_edges(e_max):
+    report = build_census(enumerate_spectrum(e_max))
+    assert report == oracles.bucket_census(enumerate_spectrum(e_max))
+
+
+def test_census_equals_the_bucket_census_across_small_windows(monkeypatch):
+    # 64 energies a window: seeds and levels straddle dozens of edges
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
+    for e_max in range(4, 3001):
+        spectrum = enumerate_spectrum(e_max)
+        assert build_census(spectrum) == oracles.bucket_census(spectrum), e_max
+
+
+@pytest.mark.parametrize("window", [4, 8, 64, 1024, _COUNT_WINDOW])
+def test_census_reports_planted_triplets_at_every_window_size(monkeypatch, window):
+    # None of 4, 1020 and 1024 is a seed energy.  4 and 1024 open a window
+    # at every size here, and 1020 lies in the window before 1024.
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    for energy in (4, 1020, 1024):
+        buckets[energy] = [(1, 1), (2, 2), (3, 3)]
+    spectrum = Spectrum(3000, buckets)
+    report = build_census(spectrum)
+    assert report.perrin_exceptions == (4, 1020, 1024)
+    assert report.perrin_matched == report.perrin_total - 3
+    assert report == oracles.bucket_census(spectrum)
+
+
+def test_census_holds_windows_not_the_table(monkeypatch):
+    # 16 windows of 64 KB: the whole-range table would be 1 MB, and a few
+    # windows and their slices take under half of that
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 1 << 16)
+    spectrum = enumerate_spectrum(1 << 20)
+    tracemalloc.start()
+    try:
+        report = build_census(spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == build_census(enumerate_spectrum(1 << 20))
+    assert spectrum._counts is None
+    assert peak < 8 * (1 << 16), f"peak {peak / 2**10:.0f} KB"
 
 
 def test_census_builds_no_buckets():

@@ -15,8 +15,8 @@ import oracles
 import triform.cli as cli
 import triform.spectrum as spectrum_module
 from triform import (
-    RepMode, build_census, doublet_from_rep, enumerate_spectrum, level_of,
-    match_perrin, parity_of, rep_search,
+    RepMode, build_census, classify_rep, doublet_from_rep, enumerate_spectrum,
+    level_of, match_perrin, parity_of, rep_search,
 )
 from triform.cli import _cell, build_parser, main, parse_rational
 from triform.spectrum import _WINDOW
@@ -276,6 +276,35 @@ def test_level_json_template_with_no_reps(capsys, monkeypatch):
     assert code == 0
     assert out == json.dumps(level_doc(196, reps=[]), indent=2) + "\n"
     assert '"reps": [],' in out
+
+
+def reps_doc(energy: int, mode: RepMode) -> dict:
+    """The `braham reps --format json` document rebuilt from the library's
+    reps: v3 and v4 printed by `str(Fraction)`, the class by `classify_rep`."""
+    return {
+        "energy": energy,
+        "mode": mode.value,
+        "reps": [{"v1": r.v1, "v2": r.v2, "v3": str(r.v3), "v4": str(r.v4),
+                  "class": classify_rep(r).value} for r in rep_search(energy, mode)],
+    }
+
+
+@pytest.mark.parametrize("mode", list(RepMode))
+@pytest.mark.parametrize("energy", [4, 7, 91, 196, 4 * 999999937, 3999999979] +
+                         oracles.seeded_realized_energies(2025, 10, 10**4, 10**10))
+def test_reps_json_template_equals_json_dump(capsys, energy, mode):
+    code, out, _ = run_cli(capsys, "braham", "reps", str(energy), "--mode", mode.value,
+                           "--format", "json")
+    assert code == 0
+    assert out == json.dumps(reps_doc(energy, mode), indent=2) + "\n"
+
+
+def test_reps_json_template_with_no_reps(capsys):
+    assert rep_search(5) == []
+    code, out, _ = run_cli(capsys, "braham", "reps", "5", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(reps_doc(5, RepMode.FACTORIZATION), indent=2) + "\n"
+    assert '"reps": []' in out
 
 
 def test_level_factors_the_energy_once(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from triform import (
     parity_of,
     parity_of_energy,
 )
+from triform import spectrum as spectrum_module
 from triform.spectrum import (
     _UNITS, _WINDOW, _mul, _prime_rows, _solutions, factorize, form_solutions,
 )
@@ -205,6 +207,48 @@ def test_degeneracies_table(spectrum_2700, naive_2700):
     assert isinstance(counts, bytes) and len(counts) == 2701
     assert counts == bytes(len(naive_2700.get(e, ())) for e in range(2701))
     assert spectrum_2700.degeneracies() is counts
+
+
+def test_degeneracies_hold_the_table_and_one_window(monkeypatch):
+    # a bytearray table and its bytes copy, held together, peaked at twice the table
+    window = 1 << 16
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
+    spectrum = enumerate_spectrum(1 << 20)
+    tracemalloc.start()
+    try:
+        counts = spectrum.degeneracies()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == b"".join(c for _, c in spectrum.count_windows())
+    assert peak < len(counts) + 2 * window, f"peak {peak / 2**10:.0f} KB"
+
+
+@pytest.mark.parametrize("window", [4, 64, 1 << 20])
+def test_count_windows_cover_the_range(monkeypatch, naive_2700, window):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
+    windows = list(enumerate_spectrum(2700).count_windows())
+    assert [lo for lo, _ in windows] == list(range(0, 2701, window))
+    assert all(isinstance(c, bytearray) for _, c in windows)
+    assert b"".join(c for _, c in windows) == bytes(
+        len(naive_2700.get(e, ())) for e in range(2701))
+
+
+def test_count_windows_read_a_built_table(monkeypatch, naive_2700):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
+    spectrum = enumerate_spectrum(2700)
+    table = spectrum.degeneracies()
+
+    def no_stripe(lo, hi):
+        raise AssertionError("striped again")
+
+    monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
+    windows = list(spectrum.count_windows())
+    assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
+    assert all(isinstance(c, bytearray) for _, c in windows)
+    assert b"".join(c for _, c in windows) == table
+    windows[0][1][4] = 9  # a window is the caller's copy
+    assert spectrum.degeneracies()[4] == 1 == len(naive_2700[4])
 
 
 def test_degeneracies_read_off_explicit_buckets():
