@@ -22,9 +22,11 @@ only tuples whose doublet really is a pair of two distinct states; requiring
 integer doublet members up front would contradict the 16-item count, so the
 discrepancy is exposed as a mode switch instead of being painted over.
 
-Everything is exact: integers, and `fractions.Fraction` for the tuples; no
-floats.  The search and the strict test work on the doubled integer
-coordinates a = 2*v3, b = 2*v4.
+Everything is exact: integers, with `fractions.Fraction` only where a
+rational leaves the integers (the identity, the doublet, the inverse map);
+no floats.  A representation holds its half-integers as the doubled
+integer coordinates a = 2*v3, b = 2*v4, and the search, the checks and
+the classification work on those.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ Rational = Union[int, str, Fraction]
 
 def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _doubled(half: Fraction) -> int:
-    """2*half for a half-integer `half`, as an int; 0 for any other rational,
-    whose denominator exceeds 2."""
-    return half.numerator * (2 // half.denominator)
 
 
 class RepMode(Enum):
@@ -91,14 +87,16 @@ def identity_expand(
     return IdentityExpansion(m, product, minus_form, plus_form)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BrahmaguptaRep:
     """A factorization E = (3*v1^2 + v2^2) * (3*v3^2 + v4^2).
 
     v1, v2 are positive integers; v3, v4 positive half-integers (multiples
-    of 1/2), normalized to `Fraction`.  The second factor may be a
-    non-integer rational; the product must equal the integer energy exactly.
-    The checks run on the doubled integers a = 2*v3, b = 2*v4.
+    of 1/2), given as int, str or `Fraction`.  A rep holds them as the
+    doubled integers a = 2*v3, b = 2*v4, on which every check runs, and
+    `v3`, `v4` read them back as `Fraction`s.  The second factor may be a
+    non-integer rational; the product must equal the integer energy
+    exactly: (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E.
 
     The slots are declared here rather than by `slots=True`: on Python 3.10
     to 3.13 that option rebuilds the class, and the frozen `__setattr__`
@@ -108,35 +106,54 @@ class BrahmaguptaRep:
     frozen class cannot have its slots assigned.
     """
 
-    __slots__ = ("v1", "v2", "v3", "v4", "energy")
+    __slots__ = ("v1", "v2", "a", "b", "energy")
 
     v1: int
     v2: int
-    v3: Fraction
-    v4: Fraction
+    a: int
+    b: int
     energy: int
 
-    def __post_init__(self) -> None:
-        v3, v4 = self.v3, self.v4
-        if not isinstance(v3, Fraction):
-            v3 = Fraction(v3)
-            object.__setattr__(self, "v3", v3)
-        if not isinstance(v4, Fraction):
-            v4 = Fraction(v4)
-            object.__setattr__(self, "v4", v4)
-        v1, v2 = self.v1, self.v2
+    def __init__(self, v1: int, v2: int, v3: Rational, v4: Rational, energy: int) -> None:
+        self._check_and_set(v1, v2, 2 * Fraction(v3), 2 * Fraction(v4), energy)
+
+    @classmethod
+    def _of_doubled(cls, v1: int, v2: int, a: int, b: int, energy: int) -> "BrahmaguptaRep":
+        """The rep (v1, v2, a/2, b/2) of `energy`, built from the integers
+        with the constructor's checks and no `Fraction`."""
+        rep = object.__new__(cls)
+        rep._check_and_set(v1, v2, a, b, energy)
+        return rep
+
+    def _check_and_set(self, v1: int, v2: int, a: "int | Fraction", b: "int | Fraction",
+                       energy: int) -> None:
+        # a and b are ints, or the Fractions 2*v3 and 2*v4 from the constructor:
+        # v3 is a half-integer exactly when 2*v3 has denominator 1, as an int has
         if v1 < 1 or v2 < 1:
             raise ValueError("v1 and v2 must be positive integers")
-        a, b = _doubled(v3), _doubled(v4)
-        if a < 1 or b < 1:
+        for n in (a, b):
+            if n < 1 or n.denominator != 1:
+                raise ValueError(
+                    f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}"
+                )
+        a, b = a.numerator, b.numerator
+        if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
             raise ValueError(
-                f"v3 and v4 must be positive half-integers, got {v3 if a < 1 else v4}"
+                f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}"
             )
-        if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * self.energy:
-            raise ValueError(f"({v1},{v2},{v3},{v4}) does not factor {self.energy}")
+        for name, value in zip(self.__slots__, (v1, v2, a, b, energy)):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return (BrahmaguptaRep, (self.v1, self.v2, self.v3, self.v4, self.energy))
+
+    @property
+    def v3(self) -> Fraction:
+        return Fraction(self.a, 2)
+
+    @property
+    def v4(self) -> Fraction:
+        return Fraction(self.b, 2)
 
     @property
     def key(self) -> "tuple[int, int, Fraction, Fraction]":
@@ -146,7 +163,7 @@ class BrahmaguptaRep:
 def classify_rep(rep: BrahmaguptaRep) -> RepClass:
     """ALL_INTEGER when v3 and v4 are both integers (v1, v2 always are):
     when both doubled coordinates are even."""
-    if _doubled(rep.v3) % 2 == 0 == _doubled(rep.v4) % 2:
+    if rep.a % 2 == 0 == rep.b % 2:
         return RepClass.ALL_INTEGER
     return RepClass.NEEDS_HALF_INTEGER
 
@@ -210,7 +227,7 @@ def _strict(v1: int, v2: int, a: int, b: int) -> bool:
 
 def is_strict(rep: BrahmaguptaRep) -> bool:
     """True when the doublet of `rep` is two distinct positive-integer states."""
-    return _strict(rep.v1, rep.v2, _doubled(rep.v3), _doubled(rep.v4))
+    return _strict(rep.v1, rep.v2, rep.a, rep.b)
 
 
 def signed_doublet(
@@ -249,8 +266,8 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     tuples = _rep_tuples(energy)
     if mode is RepMode.STRICT:
         tuples = [t for t in tuples if _strict(*t)]
-    half = {n: Fraction(n, 2) for n in {n for t in tuples for n in t[2:]}}
-    return [BrahmaguptaRep(v1, v2, half[a], half[b], energy) for v1, v2, a, b in tuples]
+    of_doubled = BrahmaguptaRep._of_doubled
+    return [of_doubled(v1, v2, a, b, energy) for v1, v2, a, b in tuples]
 
 
 @lru_cache(maxsize=1)

@@ -31,14 +31,11 @@ class CensusRow:
     parity: Parity
     degeneracy: int
     levels: int
-    states: int
 
-    def __post_init__(self) -> None:
-        if self.states != self.levels * self.degeneracy:
-            raise ValueError(
-                f"row ({self.parity.value}, g={self.degeneracy}) is inconsistent: "
-                f"{self.states} states != {self.levels} levels x {self.degeneracy}"
-            )
+    @property
+    def states(self) -> int:
+        """Each level of the row holds `degeneracy` states."""
+        return self.levels * self.degeneracy
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     rows = []
     for parity, by_g in levels.items():
         by_g += [0] * (_MIN_ROWS[parity] - len(by_g))
-        rows += [CensusRow(parity, g, n, n * g) for g, n in enumerate(by_g, 1)]
+        rows += [CensusRow(parity, g, n) for g, n in enumerate(by_g, 1)]
     perrin_total = levels[Parity.SAME][2]
     doublet_total = levels[Parity.OPPOSITE][1]
     return CensusReport(

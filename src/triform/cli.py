@@ -19,8 +19,8 @@ uses its pure-Python encoder, one call per list element.
 `spectrum`, whose output grows with --emax, keeps no record of the whole
 result: it writes each level as the spectrum's windowed walk yields it, and
 its CSV and table views read a stream of level records through `_render`.
-`level` builds its record, with its reps counted and printed off their
-doubled coordinates in one pass, and writes the JSON one rep at a time;
+`level` builds its record, with each rep's v3 and v4 printed off its
+doubled coordinates (`_half_text`), and writes the JSON one rep at a time;
 `braham reps` writes its reps the same way.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
@@ -42,13 +42,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
+    RepClass,
     RepMode,
-    _doubled,
-    _strict,
     classify_rep,
     doublet_from_rep,
     identity_expand,
     inverse_rep,
+    is_strict,
     rep_search,
 )
 # check_perrin_conjecture is not called here, but perfbench/tracing.py wraps
@@ -268,15 +268,9 @@ def cmd_level(args: argparse.Namespace) -> int:
         return 1
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
-    # One pass on the doubled coordinates a = 2*v3, b = 2*v4: a rep is
-    # all-integer when both are even, and v3, v4 print as "k" or "k/2".
-    rows = []
-    all_integer = strict = 0
-    for r in reps:
-        v1, v2, a, b = r.v1, r.v2, _doubled(r.v3), _doubled(r.v4)
-        all_integer += a % 2 == 0 == b % 2
-        strict += _strict(v1, v2, a, b)
-        rows.append((v1, v2, _half_text(a), _half_text(b)))
+    rows = [(r.v1, r.v2, _half_text(r.a), _half_text(r.b)) for r in reps]
+    all_integer = sum(classify_rep(r) is RepClass.ALL_INTEGER for r in reps)
+    strict = sum(map(is_strict, reps))
     doc = {
         # a list of states: `_cell` would print a tuple of them as one pair
         **_level_record(level.energy, list(level.states)),
@@ -401,7 +395,7 @@ def cmd_braham_reps(args: argparse.Namespace) -> int:
         return _fail_usage("energy must be at least 4")
     mode = RepMode(args.mode)
     reps = [
-        {"v1": r.v1, "v2": r.v2, "v3": str(r.v3), "v4": str(r.v4),
+        {"v1": r.v1, "v2": r.v2, "v3": _half_text(r.a), "v4": _half_text(r.b),
          "class": classify_rep(r).value}
         for r in rep_search(args.energy, mode)
     ]

@@ -101,16 +101,6 @@ class EnergyLevel:
         return parity_of_energy(self.energy)
 
 
-def parity_of(level: EnergyLevel) -> Parity:
-    """Parity class of a level, read off the relative parity of its states.
-
-    Agrees with the E mod 4 criterion (`parity_of_energy`); the equivalence
-    is a property test.
-    """
-    a, b = level.states[0]
-    return Parity.SAME if (a - b) % 2 == 0 else Parity.OPPOSITE
-
-
 class Spectrum(Mapping):
     """Immutable map from energy to :class:`EnergyLevel` for all E <= e_max.
 
@@ -372,8 +362,8 @@ def _factors(n: int) -> "tuple[tuple[int, int], ...]":
 # Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2, held as pairs (a, b).
 # The norm is a^2 - a*b + b^2, and a + b*w with b = 2x even is y + x*sqrt(-3)
 # for y = a - x, of norm 3*x^2 + y^2.  The ring has unique factorization and
-# six units, so the elements of norm n are read off the primes of n.
-_UNITS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+# six units, +-1, +-w and +-w^2, so the elements of norm n are read off the
+# primes of n.
 
 
 def _mul(u: "tuple[int, int]", v: "tuple[int, int]") -> "tuple[int, int]":
@@ -427,8 +417,8 @@ def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
     product of one element from each row, ascending in x.
 
     The products and the six associates are `_mul` written out: a + b*w
-    times the units of `_UNITS` gives (a, b), (a - b, a), (-b, a - b),
-    (-a, -b), (b - a, -a) and (b, b - a).
+    times the units 1, 1 + w, w, -1, -1 - w and -w gives (a, b),
+    (a - b, a), (-b, a - b), (-a, -b), (b - a, -a) and (b, b - a).
     """
     elements = [(1, 0)]
     for row in rows:

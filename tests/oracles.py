@@ -15,7 +15,21 @@ from fractions import Fraction
 from triform.census import _MIN_ROWS, CensusReport, CensusRow
 from triform.cli import _render
 from triform.perrin import find_seed
-from triform.spectrum import _UNITS, Parity, Spectrum, _mul, parity_of_energy
+from triform.spectrum import EnergyLevel, Parity, Spectrum, _mul, parity_of_energy
+
+# The six units of the Eisenstein integers a + b*w, as pairs (a, b):
+# 1, 1 + w = -w^2, w, -1, -1 - w = w^2 and -w.
+_UNITS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+def parity_of(level: EnergyLevel) -> Parity:
+    """Parity class of a level, read off the relative parity of its states.
+
+    Agrees with the E mod 4 criterion (`parity_of_energy`); the equivalence
+    is a property test.
+    """
+    a, b = level.states[0]
+    return Parity.SAME if (a - b) % 2 == 0 else Parity.OPPOSITE
 
 
 def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
@@ -76,8 +90,7 @@ def bucket_census(spectrum: Spectrum) -> CensusReport:
         observed = [g for (p, g) in hist if p is parity]
         top = max([_MIN_ROWS[parity], *observed])
         for g in range(1, top + 1):
-            levels = hist.get((parity, g), 0)
-            rows.append(CensusRow(parity, g, levels, levels * g))
+            rows.append(CensusRow(parity, g, hist.get((parity, g), 0)))
     return CensusReport(
         e_max=spectrum.e_max,
         rows=tuple(rows),

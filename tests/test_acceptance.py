@@ -13,7 +13,7 @@ import time
 from fractions import Fraction as F
 
 import oracles
-from oracles import inverse_rep_mixed_variant
+from oracles import inverse_rep_mixed_variant, parity_of
 from triform import (
     Parity,
     RepClass,
@@ -28,7 +28,6 @@ from triform import (
     inverse_rep,
     level_of,
     match_perrin,
-    parity_of,
     perrin_triplet,
     rep_search,
     signed_doublet,

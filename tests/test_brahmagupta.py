@@ -23,6 +23,7 @@ from triform import (
     rep_search,
     signed_doublet,
 )
+from triform import brahmagupta as brahmagupta_module
 from triform import spectrum as spectrum_module
 from triform.brahmagupta import _strict, is_strict
 
@@ -174,9 +175,12 @@ def test_rep_rejections_name_the_bad_value(args, message):
 def test_rep_is_slotted_and_frozen():
     rep = BrahmaguptaRep(1, 2, F(2), F(1), 91)
     assert not hasattr(rep, "__dict__")
-    for name in ("v1", "v2", "v3", "v4", "energy"):
+    assert (rep.a, rep.b) == (4, 2) and type(rep.a) is int and type(rep.b) is int
+    for name in ("v1", "v2", "v3", "v4", "a", "b", "energy"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rep, name, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(rep, name)
     assert rep == BrahmaguptaRep(1, 2, 2, 1, 91) and rep.key == (1, 2, F(2), F(1))
     assert hash(rep) == hash(BrahmaguptaRep(1, 2, "2", "1", 91))
 
@@ -209,7 +213,51 @@ def test_rep_validation_is_exact_on_half_integers():
             BrahmaguptaRep(1, 1, F(1, 2), v4, 12)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 2, 4, 2, 16),
+        (1, -2, 4, 2, 91),
+        (1, 2, 4, 2, 92),
+        (1, 2, 0, 2, 91),
+        (1, 2, 4, -1, 91),
+    ],
+)
+def test_the_doubled_entry_checks_as_the_constructor_does(args):
+    v1, v2, a, b, energy = args
+    with pytest.raises(ValueError) as public:
+        BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy)
+    with pytest.raises(ValueError) as doubled:
+        BrahmaguptaRep._of_doubled(*args)
+    assert str(doubled.value) == str(public.value)
+
+
 # --------------------------------------------------------------- rep search
+
+@pytest.mark.parametrize("mode", list(RepMode))
+def test_rep_search_makes_no_fraction(monkeypatch, mode):
+    made = []
+
+    class CountedFraction(F):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(brahmagupta_module, "Fraction", CountedFraction)
+    for energy in (91, 1267, 4 * 7 * 13 * 19 * 31 * 37):
+        assert rep_search(energy, mode)
+    assert made == []
+    BrahmaguptaRep(1, 2, "2", "1", 91)  # the public constructor does make them
+    assert made
+
+
+def test_searched_reps_equal_constructed_ones(oracle_reps_5000):
+    for energy, expected in oracle_reps_5000.items():
+        reps = rep_search(energy)
+        assert reps == [BrahmaguptaRep(*rep, energy) for rep in expected], energy
+        for rep in reps:
+            assert (rep.a, rep.b) == (2 * rep.v3, 2 * rep.v4), rep
+
 
 def test_rep_search_91_factorization():
     reps = rep_search(91)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction as F
 
@@ -195,9 +196,14 @@ def test_row_consistency():
         )
 
 
-def test_row_validation():
-    with pytest.raises(ValueError):
+def test_row_states_are_derived():
+    row = CensusRow(Parity.SAME, 3, 10)
+    assert row.states == 30
+    # the inconsistent row (10 levels of g=3 holding 29 states) cannot be built
+    with pytest.raises(TypeError):
         CensusRow(Parity.SAME, 3, 10, 29)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.states = 29
 
 
 def test_monotonicity():

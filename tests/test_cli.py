@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import oracles
+from oracles import parity_of
 import triform.cli as cli
 import triform.spectrum as spectrum_module
 from triform import (
     RepMode, build_census, classify_rep, doublet_from_rep, enumerate_spectrum,
-    level_of, match_perrin, parity_of, rep_search,
+    level_of, match_perrin, rep_search,
 )
 from triform.cli import _cell, build_parser, main, parse_rational
 from triform.spectrum import _WINDOW

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import parity_of
 from triform import (
     InvalidSeedError,
     Parity,
@@ -12,7 +13,6 @@ from triform import (
     enumerate_spectrum,
     level_of,
     match_perrin,
-    parity_of,
     perrin_energy,
     perrin_triplet,
 )

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import _UNITS, parity_of
 from triform import (
     EmptySpectrumError,
     EnergyLevel,
@@ -18,12 +19,11 @@ from triform import (
     energy_of,
     enumerate_spectrum,
     level_of,
-    parity_of,
     parity_of_energy,
 )
 from triform import spectrum as spectrum_module
 from triform.spectrum import (
-    _UNITS, _WINDOW, _mul, _prime_rows, _solutions, factorize, form_solutions,
+    _WINDOW, _mul, _prime_rows, _solutions, factorize, form_solutions,
 )
 
 
