@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, _factors, _prime_rows, _solutions, energy_of
+from .spectrum import State, StateLike, _associate_solutions, _factors, _prime_rows, energy_of
 
 Rational = Union[int, str, Fraction]
 
@@ -114,35 +113,44 @@ class BrahmaguptaRep:
     b: int
     energy: int
 
-    def __init__(self, v1: int, v2: int, v3: Rational, v4: Rational, energy: int) -> None:
-        self._check_and_set(v1, v2, 2 * Fraction(v3), 2 * Fraction(v4), energy)
+    def __new__(cls, v1: int, v2: int, v3: Rational, v4: Rational, energy: int):
+        return cls._of_doubled(v1, v2, 2 * Fraction(v3), 2 * Fraction(v4), energy)
 
     @classmethod
     def _of_doubled(cls, v1: int, v2: int, a: int, b: int, energy: int) -> "BrahmaguptaRep":
         """The rep (v1, v2, a/2, b/2) of `energy`, built from the integers
-        with the constructor's checks and no `Fraction`."""
-        rep = object.__new__(cls)
-        rep._check_and_set(v1, v2, a, b, energy)
-        return rep
+        with the constructor's checks and no `Fraction`.
 
-    def _check_and_set(self, v1: int, v2: int, a: "int | Fraction", b: "int | Fraction",
-                       energy: int) -> None:
-        # a and b are ints, or the Fractions 2*v3 and 2*v4 from the constructor:
-        # v3 is a half-integer exactly when 2*v3 has denominator 1, as an int has
-        if v1 < 1 or v2 < 1:
-            raise ValueError("v1 and v2 must be positive integers")
-        for n in (a, b):
-            if n < 1 or n.denominator != 1:
+        The fast path is one expression: v1, v2, a, b >= 1 and the product
+        of forms an int equal to 4*E (a `Fraction` or float among the four
+        makes a product of its own type).  Any other input, such as the
+        constructor's Fractions a = 2*v3, b = 2*v4, takes the checks one at
+        a time, which name what failed.  The slots are set through their
+        member descriptors, past the frozen `__setattr__`.
+        """
+        p = (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b)
+        if not (1 <= v1 and 1 <= v2 and 1 <= a and 1 <= b and type(p) is int and p == 4 * energy):
+            # v1 % 1 is nonzero for a v1 that is not an integer, and v3 is a
+            # half-integer exactly when 2*v3 has denominator 1, as an int has
+            if v1 < 1 or v2 < 1 or v1 % 1 or v2 % 1:
+                raise ValueError("v1 and v2 must be positive integers")
+            for n in (a, b):
+                if n < 1 or n.denominator != 1:
+                    raise ValueError(
+                        f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}"
+                    )
+            a, b = a.numerator, b.numerator
+            if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
                 raise ValueError(
-                    f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}"
+                    f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}"
                 )
-        a, b = a.numerator, b.numerator
-        if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
-            raise ValueError(
-                f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}"
-            )
-        for name, value in zip(self.__slots__, (v1, v2, a, b, energy)):
-            object.__setattr__(self, name, value)
+        rep = object.__new__(cls)
+        _SET_V1(rep, v1)
+        _SET_V2(rep, v2)
+        _SET_A(rep, a)
+        _SET_B(rep, b)
+        _SET_ENERGY(rep, energy)
+        return rep
 
     def __reduce__(self):
         return (BrahmaguptaRep, (self.v1, self.v2, self.v3, self.v4, self.energy))
@@ -158,6 +166,10 @@ class BrahmaguptaRep:
     @property
     def key(self) -> "tuple[int, int, Fraction, Fraction]":
         return (self.v1, self.v2, self.v3, self.v4)
+
+
+_SET_V1, _SET_V2, _SET_A, _SET_B, _SET_ENERGY = (
+    vars(BrahmaguptaRep)[name].__set__ for name in BrahmaguptaRep.__slots__)
 
 
 def classify_rep(rep: BrahmaguptaRep) -> RepClass:
@@ -276,30 +288,28 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
 
     4*E's factors are read off E's (`_factors`, which `level_of` of the same
     energy shares), and each prime gets one table of rows (`_prime_rows`),
-    so each split prime is solved once per energy.  The divisors are walked
-    as exponent vectors, and each divisor and its cofactor are solved from
-    one row per prime.  An exponent whose row or cofactor row is empty, such
-    as an odd power of an inert prime, is not walked: one side of the
-    product would have no solution.
+    so each split prime is solved once per energy.  The elements of norm d,
+    for every divisor d of 4*E, are prefix products: the lists grow one
+    prime at a time, so each product over a prefix of the primes is made
+    once.  An exponent whose row or cofactor row is empty, such as an odd
+    power of an inert prime, is not walked: one side of the product would
+    have no solution.  Each divisor's solutions (`_associate_solutions`)
+    are paired with its cofactor's, and only the final list is sorted.
     """
     (low, k), *rest = factors = _factors(energy)
     # 4*E: the exponent of 2 raised by 2
     factors = [(2, k + 2), *rest] if low == 2 else [(2, 2), *factors]
-    tables = [_prime_rows(p, k) for p, k in factors]
-    ranges = [[e for e, row in enumerate(rows) if row and rows[-1 - e]] for rows in tables]
-    solved = {
-        exps: _solutions([rows[e] for rows, e in zip(tables, exps)])
-        for exps in product(*ranges)
-    }
-    tuples = []
-    for exps, first in solved.items():
-        if not first:
-            continue
-        cofactor = tuple(k - e for (_, k), e in zip(factors, exps))
-        for a, b in solved[cofactor]:
-            tuples.extend((v1, v2, a, b) for v1, v2 in first)
-    tuples.sort()
-    return tuple(tuples)
+    products = {1: [(1, 0)]}  # divisor -> the elements of that norm
+    for p, k in factors:
+        rows = _prime_rows(p, k)
+        steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
+        products = {
+            d * q: [(a * c - b * s, a * s + b * c - b * s) for a, b in elements for c, s in row]
+            for d, elements in products.items() for q, row in steps
+        }
+    solved = {d: _associate_solutions(elements) for d, elements in products.items()}
+    return tuple(sorted([(v1, v2, a, b) for d, first in solved.items() if first
+                         for a, b in solved[4 * energy // d] for v1, v2 in first]))
 
 
 def inverse_rep(

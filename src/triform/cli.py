@@ -42,13 +42,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
-    RepClass,
     RepMode,
+    _strict,
     classify_rep,
     doublet_from_rep,
     identity_expand,
     inverse_rep,
-    is_strict,
     rep_search,
 )
 # check_perrin_conjecture is not called here, but perfbench/tracing.py wraps
@@ -267,10 +266,11 @@ def cmd_level(args: argparse.Namespace) -> int:
         print(f"no such level: E={args.energy}", file=sys.stderr)
         return 1
     seed = match_perrin(level)
-    reps = rep_search(level.energy, RepMode.FACTORIZATION)
-    rows = [(r.v1, r.v2, _half_text(r.a), _half_text(r.b)) for r in reps]
-    all_integer = sum(classify_rep(r) is RepClass.ALL_INTEGER for r in reps)
-    strict = sum(map(is_strict, reps))
+    rows, all_integer, strict = [], 0, 0
+    for r in rep_search(level.energy, RepMode.FACTORIZATION):
+        rows.append((r.v1, r.v2, _half_text(r.a), _half_text(r.b)))
+        all_integer += (r.a | r.b) & 1 == 0  # v3 and v4 are integers when a and b are even
+        strict += _strict(r.v1, r.v2, r.a, r.b)
     doc = {
         # a list of states: `_cell` would print a tuple of them as one pair
         **_level_record(level.energy, list(level.states)),
@@ -304,10 +304,8 @@ def _verify_table(doc: dict, rows: "list[dict]") -> "list[str]":
     lines = [
         f"conjecture check for E <= {doc['e_max']} ({doc['mode']} mode)",
         "",
-        "perrin:      "
-        + _tally(doc["perrin"], "matched", "same-parity 3-fold levels matched"),
-        "brahmagupta: "
-        + _tally(braham, "covered", "opposite-parity 2-fold levels covered"),
+        "perrin:      " + _tally(doc["perrin"], "matched", "same-parity 3-fold levels matched"),
+        "brahmagupta: " + _tally(braham, "covered", "opposite-parity 2-fold levels covered"),
         f"first doublet level without an all-integer rep: {missing[0]}" if missing
         else "all doublet levels in range have an all-integer rep",
     ]
@@ -473,9 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", parents=[fmt, emax], help="list energy levels")
-    p.add_argument(
-        "--only-degenerate", action="store_true", help="skip non-degenerate levels"
-    )
+    p.add_argument("--only-degenerate", action="store_true", help="skip non-degenerate levels")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("census", parents=[fmt, emax], help="degeneracy-by-parity census")
@@ -485,17 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("energy", type=int)
     p.set_defaults(func=cmd_level)
 
-    p = sub.add_parser(
-        "verify", parents=[fmt, emax, mode], help="run both conjecture checks"
-    )
+    p = sub.add_parser("verify", parents=[fmt, emax, mode], help="run both conjecture checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("braham", help="representation tools")
     bsub = p.add_subparsers(dest="braham_command", required=True)
 
-    b = bsub.add_parser(
-        "reps", parents=[fmt, mode], help="all representations of an energy"
-    )
+    b = bsub.add_parser("reps", parents=[fmt, mode], help="all representations of an energy")
     b.add_argument("energy", type=int)
     b.set_defaults(func=cmd_braham_reps)
 

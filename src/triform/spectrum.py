@@ -412,24 +412,45 @@ def _prime_rows(p: int, k: int, lowest: int = 0) -> "list[list[tuple[int, int]]]
             for e in range(lowest, k + 1)]
 
 
+def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
+    """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times one
+    of the elements, unsorted.
+
+    a + b*w times the units 1, 1 + w, w, -1, -1 - w and -w gives (a, b),
+    (a - b, a), (-b, a - b), (-a, -b), (b - a, -a) and (b, b - a); (c, d)
+    is y + x*sqrt(-3) for d = 2x, c = x + y, so d must be even.  Unless 2
+    divides a + b*w (a and b both even), exactly one of b, a and a - b is
+    even, picked by (a mod 2, b mod 2): one +- pair, of which only the one
+    with d > 0 takes the test c > d/2.  An element that 2 divides keeps the
+    six-unit loop.
+    """
+    solutions = []
+    for a, b in elements:
+        if b & 1:
+            a, b = (-b, a - b) if a & 1 else (a - b, a)
+        elif a & 1 == 0:
+            for c, d in ((a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)):
+                if d > 0 and c > d >> 1:
+                    solutions.append((d >> 1, c - (d >> 1)))
+            continue
+        if b < 0:
+            a, b = -a, -b
+        if b and a > b >> 1:
+            solutions.append((b >> 1, a - (b >> 1)))
+    return solutions
+
+
 def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times a
     product of one element from each row, ascending in x.
 
-    The products and the six associates are `_mul` written out: a + b*w
-    times the units 1, 1 + w, w, -1, -1 - w and -w gives (a, b),
-    (a - b, a), (-b, a - b), (-a, -b), (b - a, -a) and (b, b - a).
+    The products are `_mul` written out, and `_associate_solutions` picks
+    the associates.
     """
     elements = [(1, 0)]
     for row in rows:
         elements = [(a * c - b * d, a * d + b * c - b * d) for a, b in elements for c, d in row]
-    solutions = []
-    for a, b in elements:
-        for x, y in ((a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)):
-            if y > 0 and y % 2 == 0 and x > y // 2:
-                solutions.append((y // 2, x - y // 2))
-    solutions.sort()
-    return solutions
+    return sorted(_associate_solutions(elements))
 
 
 def form_solutions(n: int) -> "list[tuple[int, int]]":

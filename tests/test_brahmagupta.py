@@ -221,6 +221,10 @@ def test_rep_validation_is_exact_on_half_integers():
         (1, 2, 4, 2, 92),
         (1, 2, 0, 2, 91),
         (1, 2, 4, -1, 91),
+        # non-integer v1, v2 whose product of forms is 4*E all the same
+        (F(3, 2), F(3, 2), 2, 2, 36),
+        (F(3, 2), 1, 2, 2, 31),
+        (1, F(3, 2), 2, 2, 21),
     ],
 )
 def test_the_doubled_entry_checks_as_the_constructor_does(args):
@@ -230,6 +234,8 @@ def test_the_doubled_entry_checks_as_the_constructor_does(args):
     with pytest.raises(ValueError) as doubled:
         BrahmaguptaRep._of_doubled(*args)
     assert str(doubled.value) == str(public.value)
+    if v1 % 1 or v2 % 1:
+        assert str(public.value) == "v1 and v2 must be positive integers"
 
 
 # --------------------------------------------------------------- rep search
@@ -353,6 +359,8 @@ def test_rep_search_completeness_oracle(oracle_reps_5000):
 LARGE_REP_ENERGIES = oracles.seeded_realized_energies(8128, 16, 10**5, 10**8) + [
     4 * 7**2 * 13 * 27, 4 * 25 * 7 * 13 * 19, 7**4 * 13**2,
     4 * 3**5 * 7 * 13, 4 * 7 * 13 * 19 * 31 * 37, 4 * 7 * 13 * 49 * 121,
+    # heavy in the inert 2 and the ramified 3
+    2**10 * 7 * 13, 3**9 * 7, 2**6 * 3**5 * 7 * 13 * 19,
 ]
 
 

@@ -378,6 +378,20 @@ def test_solutions_match_the_unit_loop_on_a_seeded_sample():
     assert solved > 1000
 
 
+@pytest.mark.parametrize("n", [4 * 3 * 7, 2**6 * 3**5 * 7 * 13, 2**10 * 7 * 13 * 19, 4**3 * 7**3])
+def test_solutions_of_elements_that_2_divides_match_the_unit_loop(n):
+    # 2 is inert, so its row at an even exponent 2j >= 2 is the integer 2^j,
+    # and every product with it has both coordinates even: these elements
+    # keep the six-unit loop in `_associate_solutions`
+    solved = 0
+    for rows in _exponent_rows(n):
+        if rows[0] and rows[0][0][0] > 1:
+            expected = oracles.unit_loop_solutions(rows)
+            assert _solutions(rows) == expected, rows
+            solved += bool(expected)
+    assert solved >= 3
+
+
 def test_form_solutions_match_scan_up_to_20000():
     for n in range(-2, 20001):
         assert form_solutions(n) == oracles.scan_form_solutions(n), n
