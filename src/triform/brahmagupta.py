@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
-from .spectrum import State, StateLike, _associate_solutions, _factors, _prime_rows, energy_of
+from .spectrum import State, StateLike, _rep_tuples, energy_of
 
 Rational = Union[int, str, Fraction]
 
@@ -125,21 +124,24 @@ class BrahmaguptaRep:
         of forms an int equal to 4*E (a `Fraction` or float among the four
         makes a product of its own type).  Any other input, such as the
         constructor's Fractions a = 2*v3, b = 2*v4, takes the checks one at
-        a time, which name what failed.  The slots are set through their
-        member descriptors, past the frozen `__setattr__`.
+        a time on exact rationals, which name what failed, and the rep
+        stores the four as ints.  The slots are set through their member
+        descriptors, past the frozen `__setattr__`.
         """
         p = (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b)
         if not (1 <= v1 and 1 <= v2 and 1 <= a and 1 <= b and type(p) is int and p == 4 * energy):
-            # v1 % 1 is nonzero for a v1 that is not an integer, and v3 is a
-            # half-integer exactly when 2*v3 has denominator 1, as an int has
-            if v1 < 1 or v2 < 1 or v1 % 1 or v2 % 1:
+            # exact rationals, so a float checks as the integer it equals and
+            # no product rounds; v3 is a half-integer exactly when 2*v3 has
+            # denominator 1, as an int has
+            v1, v2 = Fraction(v1), Fraction(v2)
+            if v1 < 1 or v2 < 1 or v1.denominator != 1 or v2.denominator != 1:
                 raise ValueError("v1 and v2 must be positive integers")
             for n in (a, b):
                 if n < 1 or n.denominator != 1:
                     raise ValueError(
                         f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}"
                     )
-            a, b = a.numerator, b.numerator
+            v1, v2, a, b = v1.numerator, v2.numerator, a.numerator, b.numerator
             if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
                 raise ValueError(
                     f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}"
@@ -262,16 +264,17 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     Writing v3 = a/2 and v4 = b/2 with positive integers a, b turns the
     product equation into (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, so the
     first factor d1 runs over divisors of 4*E and the two factors are
-    solved independently (`_rep_tuples`).  Ordered tuples are distinct
-    representations: (1,2,2,1) and (2,1,1,2) both count.
+    solved independently (`spectrum._rep_tuples`, the one solver).  Ordered
+    tuples are distinct representations: (1,2,2,1) and (2,1,1,2) both count.
 
-    The solved tuples of the last energy searched are kept, in either mode:
+    The solved tuples of the last energy solved are kept, in either mode:
     a strict search right after a factorization search of the same energy,
     as `doublet_coverage` makes for every doublet level, filters them
-    instead of solving again.  Only one energy is kept, so memory stays
-    bounded.  Strict mode keeps only the representations that pass
-    `is_strict`.  Every call returns new reps in a new list.  Returns []
-    when nothing represents the energy.
+    instead of solving again, and so does a search right after `level_of`
+    of the same energy, which reads its states off them.  Only one energy
+    is kept, so memory stays bounded.  Strict mode keeps only the
+    representations that pass `is_strict`.  Every call returns new reps in
+    a new list.  Returns [] when nothing represents the energy.
     """
     if energy < 4:
         return []
@@ -280,36 +283,6 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
         tuples = [t for t in tuples if _strict(*t)]
     of_doubled = BrahmaguptaRep._of_doubled
     return [of_doubled(v1, v2, a, b, energy) for v1, v2, a, b in tuples]
-
-
-@lru_cache(maxsize=1)
-def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
-    """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted.
-
-    4*E's factors are read off E's (`_factors`, which `level_of` of the same
-    energy shares), and each prime gets one table of rows (`_prime_rows`),
-    so each split prime is solved once per energy.  The elements of norm d,
-    for every divisor d of 4*E, are prefix products: the lists grow one
-    prime at a time, so each product over a prefix of the primes is made
-    once.  An exponent whose row or cofactor row is empty, such as an odd
-    power of an inert prime, is not walked: one side of the product would
-    have no solution.  Each divisor's solutions (`_associate_solutions`)
-    are paired with its cofactor's, and only the final list is sorted.
-    """
-    (low, k), *rest = factors = _factors(energy)
-    # 4*E: the exponent of 2 raised by 2
-    factors = [(2, k + 2), *rest] if low == 2 else [(2, 2), *factors]
-    products = {1: [(1, 0)]}  # divisor -> the elements of that norm
-    for p, k in factors:
-        rows = _prime_rows(p, k)
-        steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
-        products = {
-            d * q: [(a * c - b * s, a * s + b * c - b * s) for a, b in elements for c, s in row]
-            for d, elements in products.items() for q, row in steps
-        }
-    solved = {d: _associate_solutions(elements) for d, elements in products.items()}
-    return tuple(sorted([(v1, v2, a, b) for d, first in solved.items() if first
-                         for a, b in solved[4 * energy // d] for v1, v2 in first]))
 
 
 def inverse_rep(

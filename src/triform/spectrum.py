@@ -19,6 +19,7 @@ enumeration bound.
 
 from __future__ import annotations
 
+import bisect
 import io
 import itertools
 import math
@@ -45,10 +46,13 @@ StateLike = Union[State, "tuple[int, int]"]
 
 
 def energy_of(state: StateLike) -> int:
-    """Energy 3*n1^2 + n2^2 of a state, exactly."""
+    """Energy 3*n1^2 + n2^2 of a state, exactly.
+
+    Raises ValueError unless both indices are positive ints.
+    """
     n1, n2 = state
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"state indices must be positive, got ({n1}, {n2})")
+    if not (isinstance(n1, int) and isinstance(n2, int)) or n1 < 1 or n2 < 1:
+        raise ValueError(f"state indices must be positive integers, got ({n1}, {n2})")
     return 3 * n1 * n1 + n2 * n2
 
 
@@ -115,9 +119,10 @@ class Spectrum(Mapping):
     The one store is the count table (`degeneracies`), one byte per energy,
     joined from the count windows on first use and cached: iteration,
     `len`, `state_count`, `degeneracy_of` and `in` read it.  `[]` and `get`
-    solve their one energy (`level_of`), so one level costs its own states.
+    solve their one energy (`level_of`): one level costs the rep solve of
+    its energy, whose (1, 1) reps are the states.
     The views inherited from Mapping (`items`, `values`, `==`) solve every
-    energy one at a time, about three times slower than one walk at
+    energy one at a time, about ten times slower than one walk at
     e_max = 10^6; read the whole map with `iter_levels` or `raw_items`
     instead.  The table is a pure function of e_max, so concurrent readers
     that race to build it build the same value and stay safe.
@@ -347,18 +352,6 @@ def factorize(n: int) -> "list[tuple[int, int]]":
     return factors
 
 
-@lru_cache(maxsize=1)
-def _factors(n: int) -> "tuple[tuple[int, int], ...]":
-    """`factorize(n)` as a tuple, kept for the last n asked.
-
-    A `level` query factors E for its states (`form_solutions`) and again for
-    its reps (`brahmagupta._rep_tuples`, which reads 4E's factors off E's), so
-    the two share one trial division.  The tuple is immutable, so no caller
-    can change what the next one reads.
-    """
-    return tuple(factorize(n))
-
-
 # Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2, held as pairs (a, b).
 # The norm is a^2 - a*b + b^2, and a + b*w with b = 2x even is y + x*sqrt(-3)
 # for y = a - x, of norm 3*x^2 + y^2.  The ring has unique factorization and
@@ -388,28 +381,26 @@ def _split_prime(p: int) -> "tuple[int, int]":
     return (b + v, 2 * v)
 
 
-def _prime_rows(p: int, k: int, lowest: int = 0) -> "list[list[tuple[int, int]]]":
-    """Row e, for e = lowest..k: the Eisenstein integers of norm p^e, one per
+def _prime_rows(p: int, k: int) -> "list[list[tuple[int, int]]]":
+    """Row e, for e = 0..k: the Eisenstein integers of norm p^e, one per
     class of associates.
 
     A prime p = 2 (mod 3) stays prime, so its row e is p^(e/2) for even e
     and empty for odd e.  3 = -w^2 * (1 - w)^2 ramifies, so its row e is
     (1 - w)^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi from
     Cornacchia's algorithm (`_split_prime`), and its row e is
-    pi^s * conj(pi)^(e-s) for s = 0..e.  Only the rows asked for are built:
-    `rep_search` needs every row, a single energy only row k.
+    pi^s * conj(pi)^(e-s) for s = 0..e.
     """
     if p % 3 == 2:
-        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(lowest, k + 1)]
+        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(k + 1)]
     pi = (1, -1) if p == 3 else _split_prime(p)
     powers = [(1, 0)]
     for _ in range(k):
         powers.append(_mul(powers[-1], pi))
     if p == 3:
-        return [[power] for power in powers[lowest:]]
+        return [[power] for power in powers]
     conj = [(a - b, -b) for a, b in powers]  # conj(a + b*w) = (a - b) - b*w
-    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)]
-            for e in range(lowest, k + 1)]
+    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)] for e in range(k + 1)]
 
 
 def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
@@ -440,36 +431,58 @@ def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, 
     return solutions
 
 
-def _solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
-    """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times a
-    product of one element from each row, ascending in x.
+@lru_cache(maxsize=1)
+def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
+    """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted,
+    for E >= 4: the reps (v1, v2, a/2, b/2) of `brahmagupta.rep_search`.
 
-    The products are `_mul` written out, and `_associate_solutions` picks
-    the associates.
+    The one solver, kept for the last energy asked: `level_of` reads its
+    states off the same tuples (`form_solutions`), so a `level` query
+    factors E and solves each split prime once.  4*E's factors are read off
+    E's, and each prime gets one table of rows (`_prime_rows`).  The
+    elements of norm d, for every divisor d of 4*E, are prefix products:
+    the lists grow one prime at a time, so each product over a prefix of
+    the primes is made once.  An exponent whose row or cofactor row is
+    empty, such as an odd power of an inert prime, is not walked: one side
+    of the product would have no solution.  Each divisor's solutions
+    (`_associate_solutions`) are paired with its cofactor's, and only the
+    final list is sorted.  The tuple is immutable, so no caller can change
+    what the next one reads.
     """
-    elements = [(1, 0)]
-    for row in rows:
-        elements = [(a * c - b * d, a * d + b * c - b * d) for a, b in elements for c, d in row]
-    return sorted(_associate_solutions(elements))
+    (low, k), *rest = factors = factorize(energy)
+    # 4*E: the exponent of 2 raised by 2
+    factors = [(2, k + 2), *rest] if low == 2 else [(2, 2), *factors]
+    products = {1: [(1, 0)]}  # divisor -> the elements of that norm
+    for p, k in factors:
+        rows = _prime_rows(p, k)
+        steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
+        products = {
+            d * q: [(a * c - b * s, a * s + b * c - b * s) for a, b in elements for c, s in row]
+            for d, elements in products.items() for q, row in steps
+        }
+    solved = {d: _associate_solutions(elements) for d, elements in products.items()}
+    return tuple(sorted([(v1, v2, a, b) for d, first in solved.items() if first
+                         for a, b in solved[4 * energy // d] for v1, v2 in first]))
 
 
 def form_solutions(n: int) -> "list[tuple[int, int]]":
     """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
 
-    Factors n once (`_factors`) and multiplies, over the primes p^k of n,
-    one Eisenstein integer of norm p^k from row k of `_prime_rows` (built
-    alone), in every combination.  Times the six units, the elements
-    y + x*sqrt(-3) with x, y >= 1 are the solutions.  Empty for n < 4.
+    These are the reps (1, 1, x/2, y/2) of n, since (3 + 1) * (3*x^2 + y^2)
+    = 4*n: the tuples of `_rep_tuples(n)` that sort before (1, 2), cut off
+    by one bisection, already ascending in x.  Empty for n < 4.
     """
     if n < 4:
         return []
-    return _solutions([_prime_rows(p, k, k)[0] for p, k in _factors(n)])
+    tuples = _rep_tuples(n)
+    return [(a, b) for _, _, a, b in tuples[:bisect.bisect_left(tuples, (1, 2))]]
 
 
 def level_of(energy: int) -> Optional[EnergyLevel]:
     """The complete level at `energy`, or None when no state reaches it.
 
-    The states are the solutions of 3*n1^2 + n2^2 = E (`form_solutions`).
+    The states are the solutions of 3*n1^2 + n2^2 = E (`form_solutions`),
+    read off the rep solve of E, which a `rep_search` of E then reuses.
     """
     states = form_solutions(energy)
     if not states:

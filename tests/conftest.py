@@ -5,18 +5,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from triform import brahmagupta, enumerate_spectrum, spectrum
+from triform import enumerate_spectrum, spectrum
 
 import oracles
 
 
 @pytest.fixture(autouse=True)
 def cold_rep_cache():
-    # rep_search keeps the last energy's solved tuples and spectrum its last
-    # factorization; a test that counts solver or factorization calls, or
-    # monkeypatches either, must not read a cached energy.
-    brahmagupta._rep_tuples.cache_clear()
-    spectrum._factors.cache_clear()
+    # the one solver keeps the last energy's solved tuples, which level_of
+    # and rep_search both read; a test that counts solver or factorization
+    # calls, or monkeypatches either, must not read a cached energy.
+    spectrum._rep_tuples.cache_clear()
 
 
 @pytest.fixture(scope="session")

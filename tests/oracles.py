@@ -117,9 +117,9 @@ def scan_form_solutions(n: int) -> "list[tuple[int, int]]":
 
 
 def unit_loop_solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
-    """`spectrum._solutions` as a loop over `_mul` and the six `_UNITS`:
-    every row product, times every unit, kept when it is y + x*sqrt(-3)
-    with x, y >= 1."""
+    """`spectrum._associate_solutions` of the row products, sorted, as a loop
+    over `_mul` and the six `_UNITS`: every row product, times every unit,
+    kept when it is y + x*sqrt(-3) with x, y >= 1."""
     elements = [(1, 0)]
     for row in rows:
         elements = [_mul(e, o) for e in elements for o in row]

@@ -213,6 +213,17 @@ def test_rep_validation_is_exact_on_half_integers():
             BrahmaguptaRep(1, 1, F(1, 2), v4, 12)
 
 
+def test_rep_checks_float_and_fraction_v1_v2_exactly():
+    # in floats 3*(2^53)^2 + 1 rounds to 3*2^106, but the exact product of
+    # forms is 4*(3*2^106 + 1)
+    with pytest.raises(ValueError, match="does not factor"):
+        BrahmaguptaRep(float(2**53), 1, F(1, 2), F(1, 2), 3 * 2**106)
+    for v1, v2 in ((2.0, 1), (F(2), 1), (2, 1.0), (2, F(1))):
+        rep = BrahmaguptaRep(v1, v2, 1, 1, 52)
+        assert rep == BrahmaguptaRep(2, 1, 1, 1, 52)
+        assert type(rep.v1) is int and type(rep.v2) is int
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -384,8 +395,13 @@ def split_prime_calls(monkeypatch):
     return calls
 
 
+def level_then_reps(energy):
+    """A `level` query's two solves: the states, then the reps."""
+    return level_of(energy) and rep_search(energy)
+
+
 @pytest.mark.parametrize("energy", [4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
-@pytest.mark.parametrize("solve", [rep_search, spectrum_module.form_solutions])
+@pytest.mark.parametrize("solve", [rep_search, spectrum_module.form_solutions, level_then_reps])
 def test_each_split_prime_is_solved_once(split_prime_calls, energy, solve):
     assert solve(energy)
     assert sorted(split_prime_calls) == [p for p in (7, 13, 19, 31, 37) if energy % p == 0]

@@ -309,8 +309,9 @@ def test_reps_json_template_with_no_reps(capsys):
 
 
 def test_level_factors_the_energy_once(capsys, monkeypatch):
-    # level_of factors E for the states, rep_search 4*E for the reps; every
-    # triform module that holds `factorize` gets the counting one
+    # level_of reads the states off the rep solve of E, which factors E once
+    # and which rep_search then reuses for the reps; every triform module
+    # that holds `factorize` gets the counting one
     runs = []
     factorize = spectrum_module.factorize
     for name, module in list(sys.modules.items()):

@@ -23,7 +23,7 @@ from triform import (
 )
 from triform import spectrum as spectrum_module
 from triform.spectrum import (
-    _WINDOW, _mul, _prime_rows, _solutions, factorize, form_solutions,
+    _WINDOW, _associate_solutions, _mul, _prime_rows, factorize, form_solutions,
 )
 
 
@@ -35,7 +35,7 @@ def test_energy_of(state, energy):
     assert energy_of(state) == energy
 
 
-@pytest.mark.parametrize("state", [(0, 1), (1, 0), (-2, 3), (3, -1)])
+@pytest.mark.parametrize("state", [(0, 1), (1, 0), (-2, 3), (3, -1), (1.5, 2), (1.0, 5.0)])
 def test_energy_of_rejects_nonpositive(state):
     with pytest.raises(ValueError):
         energy_of(state)
@@ -270,6 +270,8 @@ def test_energy_level_validation():
         EnergyLevel(28, (State(2, 4), State(1, 5)))  # not ascending in n1
     with pytest.raises(ValueError):
         EnergyLevel(29, (State(1, 5),))  # wrong energy
+    with pytest.raises(ValueError):
+        EnergyLevel(28, ((1.0, 5.0),))  # float indices, energy 28.0
     level = EnergyLevel(28, (State(1, 5), State(2, 4), State(3, 1)))
     assert level.degeneracy == 3
     assert level.parity is Parity.SAME
@@ -330,7 +332,6 @@ def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
     for k in range(5):
         rows = _prime_rows(p, k)
         assert len(rows) == k + 1
-        assert all(_prime_rows(p, k, lowest) == rows[lowest:] for lowest in range(k + 1))
         for e, row in enumerate(rows):
             assert all(a * a - a * b + b * b == p**e for a, b in row), (p, e)
             if p % 3 == 1:
@@ -351,6 +352,15 @@ def _exponent_rows(n):
     tables = [_prime_rows(p, k) for p, k in factors]
     for exps in itertools.product(*(range(k + 1) for _, k in factors)):
         yield [rows[e] for rows, e in zip(tables, exps)]
+
+
+def _solutions(rows):
+    """The solutions of the products of one element from each row, ascending
+    in x: the products by `_mul`, the associates by `_associate_solutions`."""
+    elements = [(1, 0)]
+    for row in rows:
+        elements = [_mul(e, o) for e in elements for o in row]
+    return sorted(_associate_solutions(elements))
 
 
 def test_solutions_match_the_unit_loop_up_to_5000():
@@ -421,6 +431,8 @@ STRUCTURED = (
     + [7**3 * 13**2, 3 * 7**2 * 19**2, 4 * 7 * 13 * 19 * 31]
     + [4 * p for p in (7, 13, 19, 5, 11, 10007, 99991, 1000003)]
     + [4 * k + 2 for k in range(1, 400, 37)] + [2 * 7**4, 2 * 3**7]
+    # 3*p^2 for p = 2 (mod 3): the only solution, (p, 0), has a zero index
+    + [3 * 5**2, 3 * 11**2, 3 * 251**2]
 )
 
 
