@@ -46,8 +46,6 @@ class CensusReport:
     perrin_matched: int
     perrin_exceptions: "tuple[int, ...]"
     brahmagupta_total: int
-    brahmagupta_covered: int
-    brahmagupta_exceptions: "tuple[int, ...]"
 
     def rows_for(self, parity: Parity) -> "tuple[CensusRow, ...]":
         return tuple(r for r in self.rows if r.parity is parity)
@@ -84,12 +82,10 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     same-parity count still equal to 3 is a counterexample.  `find_seed`
     over the states is the independent route (`check_perrin_conjecture`).
 
-    Doublet coverage needs no search at all: each level state (n1, n2)
-    witnesses the representation (1, 1, n1/2, n2/2) of its own energy,
-    since (3+1)*(3*n1^2+n2^2)/4 = E, so every doublet level is covered and
-    `brahmagupta_exceptions` is empty (the lemma is pinned by a test).  The
-    full search-based checker (`check_brahmagupta_conjecture`) is the slow,
-    independent route.
+    Doublet tally: `brahmagupta_total` counts the doublet levels, and each
+    is covered without a search, since a state (n1, n2) witnesses the rep
+    (1, 1, n1/2, n2/2) of its own energy, (3+1)*(3*n1^2+n2^2)/4 = E.
+    `check_brahmagupta_conjecture` is the search-based route.
     """
     # levels[parity][g - 1]: number of levels of degeneracy g
     levels: "dict[Parity, list[int]]" = {Parity.SAME: [], Parity.OPPOSITE: []}
@@ -118,16 +114,13 @@ def build_census(spectrum: Spectrum) -> CensusReport:
         by_g += [0] * (_MIN_ROWS[parity] - len(by_g))
         rows += [CensusRow(parity, g, n) for g, n in enumerate(by_g, 1)]
     perrin_total = levels[Parity.SAME][2]
-    doublet_total = levels[Parity.OPPOSITE][1]
     return CensusReport(
         e_max=spectrum.e_max,
         rows=tuple(rows),
         perrin_total=perrin_total,
         perrin_matched=perrin_total - len(perrin_exceptions),
         perrin_exceptions=tuple(perrin_exceptions),
-        brahmagupta_total=doublet_total,
-        brahmagupta_covered=doublet_total,
-        brahmagupta_exceptions=(),
+        brahmagupta_total=levels[Parity.OPPOSITE][1],
     )
 
 

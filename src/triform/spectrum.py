@@ -24,7 +24,7 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -105,27 +105,22 @@ class EnergyLevel:
         return parity_of_energy(self.energy)
 
 
-class Spectrum(Mapping):
-    """Immutable map from energy to :class:`EnergyLevel` for all E <= e_max.
+class Spectrum:
+    """The states of every energy E <= e_max, read by walks and by counts.
 
-    Iteration yields energies in ascending order.  Nothing is enumerated at
-    construction.  Two windowed walks read the range, each afresh on every
-    call: `count_windows` yields the state count of every energy, one
-    window of `_COUNT_WINDOW` energies at a time, and `raw_items` yields
-    the states of every level, one window of `_WINDOW` energies at a time.
-    Each holds one window and never the whole range, so memory stays flat
-    as e_max grows.
+    Nothing is enumerated at construction.  Two windowed walks read the
+    range, each afresh on every call: `count_windows` yields the state
+    count of every energy, one window of `_COUNT_WINDOW` energies at a time,
+    and `raw_items` (or `iter_levels`) yields the states of every level,
+    one window of `_WINDOW` energies at a time.  Each holds one window and
+    never the whole range, so memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
-    joined from the count windows on first use and cached: iteration,
-    `len`, `state_count`, `degeneracy_of` and `in` read it.  `[]` and `get`
-    solve their one energy (`level_of`): one level costs the rep solve of
-    its energy, whose (1, 1) reps are the states.
-    The views inherited from Mapping (`items`, `values`, `==`) solve every
-    energy one at a time, about ten times slower than one walk at
-    e_max = 10^6; read the whole map with `iter_levels` or `raw_items`
-    instead.  The table is a pure function of e_max, so concurrent readers
-    that race to build it build the same value and stay safe.
+    joined from the count windows on first use and cached: iteration (the
+    realized energies, ascending), `len`, `state_count`, `degeneracy_of`
+    and `in` read it.  `[]` solves its one energy (`level_of`).  The table
+    is a pure function of e_max, so concurrent readers that race to build
+    it build the same value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -220,6 +215,8 @@ class Spectrum(Mapping):
     def __contains__(self, energy: object) -> bool:
         return self.degeneracy_of(energy) > 0
 
+    # No command reads one level through a spectrum; `[]` stays because
+    # perfbench/tracing.py wraps `Spectrum.__getitem__` as a timed layer.
     def __getitem__(self, energy: int) -> EnergyLevel:
         level = level_of(energy) if isinstance(energy, int) and energy <= self._e_max else None
         if level is None:
@@ -438,22 +435,18 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
 
     The one solver, kept for the last energy asked: `level_of` reads its
     states off the same tuples (`form_solutions`), so a `level` query
-    factors E and solves each split prime once.  4*E's factors are read off
-    E's, and each prime gets one table of rows (`_prime_rows`).  The
-    elements of norm d, for every divisor d of 4*E, are prefix products:
-    the lists grow one prime at a time, so each product over a prefix of
-    the primes is made once.  An exponent whose row or cofactor row is
-    empty, such as an odd power of an inert prime, is not walked: one side
-    of the product would have no solution.  Each divisor's solutions
-    (`_associate_solutions`) are paired with its cofactor's, and only the
-    final list is sorted.  The tuple is immutable, so no caller can change
-    what the next one reads.
+    factors 4*E once and solves each split prime once: each prime gets one
+    table of rows (`_prime_rows`).  The elements of norm d, for every
+    divisor d of 4*E, are prefix products: the lists grow one prime at a
+    time, so each product over a prefix of the primes is made once.  An
+    exponent whose row or cofactor row is empty, such as an odd power of an
+    inert prime, is not walked: one side of the product would have no
+    solution.  Each divisor's solutions (`_associate_solutions`) are paired
+    with its cofactor's, and only the final list is sorted.  The tuple is
+    immutable, so no caller can change what the next one reads.
     """
-    (low, k), *rest = factors = factorize(energy)
-    # 4*E: the exponent of 2 raised by 2
-    factors = [(2, k + 2), *rest] if low == 2 else [(2, 2), *factors]
     products = {1: [(1, 0)]}  # divisor -> the elements of that norm
-    for p, k in factors:
+    for p, k in factorize(4 * energy):
         rows = _prime_rows(p, k)
         steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
         products = {

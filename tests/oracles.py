@@ -83,7 +83,6 @@ def bucket_census(spectrum: Spectrum) -> CensusReport:
         if same and g == 3 and find_seed(states) is None:
             perrin_exceptions.append(energy)
     perrin_total = hist[(Parity.SAME, 3)]
-    doublet_total = hist[(Parity.OPPOSITE, 2)]
 
     rows = []
     for parity in (Parity.SAME, Parity.OPPOSITE):
@@ -97,9 +96,7 @@ def bucket_census(spectrum: Spectrum) -> CensusReport:
         perrin_total=perrin_total,
         perrin_matched=perrin_total - len(perrin_exceptions),
         perrin_exceptions=tuple(perrin_exceptions),
-        brahmagupta_total=doublet_total,
-        brahmagupta_covered=doublet_total,
-        brahmagupta_exceptions=(),
+        brahmagupta_total=hist[(Parity.OPPOSITE, 2)],
     )
 
 

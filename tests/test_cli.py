@@ -309,8 +309,8 @@ def test_reps_json_template_with_no_reps(capsys):
 
 
 def test_level_factors_the_energy_once(capsys, monkeypatch):
-    # level_of reads the states off the rep solve of E, which factors E once
-    # and which rep_search then reuses for the reps; every triform module
+    # level_of reads the states off the rep solve of E, which factors 4*E
+    # once and which rep_search then reuses for the reps; every triform module
     # that holds `factorize` gets the counting one
     runs = []
     factorize = spectrum_module.factorize
@@ -321,7 +321,7 @@ def test_level_factors_the_energy_once(capsys, monkeypatch):
     for energy, fmt in zip(energies, ["json", "csv", "table", "json", "csv"]):
         code, _, _ = run_cli(capsys, "level", str(energy), "--format", fmt)
         assert code == 0
-    assert runs == energies
+    assert runs == [4 * energy for energy in energies]
 
 
 # ------------------------------------------------------------------ verify
@@ -479,6 +479,45 @@ def test_braham_inverse_energy_mismatch(capsys):
     code, _, err = run_cli(capsys, "braham", "inverse", "1", "1", "2", "2")
     assert code == 2
     assert err == "error: states (1, 1) and (2, 2) have different energies (4 != 16)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # a 4001-digit v3 made a 4300-digit limit ValueError, with exit 1
+    ["doublet", "1", "1", "1e4000", "1"],
+    ["inverse", "1", "5", "2", "4", "--xi", "1e-4000"],
+    ["doublet", "1", "1", "1e1_000", "1"],  # int() and Fraction() read underscores
+    # 2560 B of JSON were written before the energy failed to print
+    ["doublet", "7" * 2500, "1", "1", "1", "--format", "json"],
+])
+def test_oversized_number_is_refused_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, "braham", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {cli._MAX_DIGITS} digits" in err
+
+
+def test_oversized_exponent_is_refused_without_expanding_it():
+    # Fraction("1e30000000") writes out the power of ten, which ran for minutes
+    argv = ["braham", "doublet", "1", "1", "1e30000000", "1"]
+    done = subprocess.run([sys.executable, "-m", "triform", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1 and "digits" in done.stderr
+
+
+def test_numbers_at_the_digit_bound_print_every_value(capsys):
+    # the longest value printed, the product of forms of a tuple that factors
+    # no integer, stays within Python's default 4300-digit int-str limit
+    n = "9" * cli._MAX_DIGITS
+    v3, v4 = "9" * (cli._MAX_DIGITS - 2) + "/7", "1/" + "9" * (cli._MAX_DIGITS - 2)
+    code, out, err = run_cli(capsys, "braham", "doublet", n, n, v3, v4)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    product = err.split("(got ")[1].rstrip(")\n")
+    assert len(product.split("/")[0]) > 4100
+    code, out, err = run_cli(capsys, "braham", "doublet", n, n, n, n, "--format", "json")
+    assert (code, err) == (0, "") and len(str(json.loads(out)["energy"])) > 2800
+    code, out, err = run_cli(capsys, "braham", "doublet", n + "9", n, "1", "1")
+    assert (code, out) == (2, "") and "digits" in err
 
 
 # ------------------------------------------------------- format invariants

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given
@@ -92,7 +93,11 @@ def test_level_of_agrees_with_spectrum(spectrum_2700):
             assert [tuple(s) for s in level.states] == buckets[energy]
         elif energy <= 2700:
             assert level is None
-        assert spectrum_2700.get(energy) == (level if energy <= 2700 else None)
+        if level is None or energy > 2700:
+            with pytest.raises(KeyError):
+                spectrum_2700[energy]
+        else:
+            assert spectrum_2700[energy] == level
 
 
 @pytest.mark.parametrize(
@@ -146,10 +151,21 @@ def test_build_determinism():
     assert dict(a.raw_items()) == dict(b.raw_items()) == oracles.naive_levels(500)
 
 
-def test_spectrum_is_a_mapping(spectrum_2700):
+def test_spectrum_is_not_a_mapping():
+    # the Mapping views solved every energy one at a time; a spectrum is read
+    # by its walks and its count table, and compares and hashes by identity
+    spectrum = enumerate_spectrum(28)
+    assert not isinstance(spectrum, Mapping)
+    for name in ("get", "keys", "items", "values"):
+        assert not hasattr(spectrum, name), name
+    assert spectrum != enumerate_spectrum(28) and spectrum == spectrum
+    assert {spectrum: 1}[spectrum] == 1
+
+
+def test_spectrum_count_reads_and_one_level(spectrum_2700):
     assert 28 in spectrum_2700
     assert 5 not in spectrum_2700
-    assert spectrum_2700.get(5) is None
+    assert level_of(5) is None
     assert spectrum_2700.degeneracy_of(28) == 3
     assert spectrum_2700.degeneracy_of(5) == 0
     with pytest.raises(KeyError):
@@ -160,16 +176,17 @@ def test_spectrum_is_a_mapping(spectrum_2700):
 
 def test_table_reads_build_no_buckets():
     spectrum = enumerate_spectrum(2700)
-    assert spectrum[28].degeneracy == 3 and spectrum.get(2701) is None
-    with pytest.raises(KeyError):
-        spectrum["28"]
+    assert spectrum[28].degeneracy == 3 and level_of(2701) is not None
+    for energy in (2701, "28"):
+        with pytest.raises(KeyError):
+            spectrum[energy]
     assert spectrum._counts is None  # one level builds neither store
     assert list(spectrum) == sorted(oracles.naive_levels(2700))
     assert len(spectrum) == 655
     assert 28 in spectrum and 5 not in spectrum
-    assert spectrum.get(5) is None and spectrum.get(2701) is None
-    with pytest.raises(KeyError):
-        spectrum[5]
+    for energy in (5, 2701):
+        with pytest.raises(KeyError):
+            spectrum[energy]
     assert spectrum._buckets is None
     assert spectrum[28].degeneracy == 3
     assert spectrum._buckets is None  # a hit is solved, not enumerated
