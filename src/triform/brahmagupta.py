@@ -274,10 +274,9 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     of the same energy, which reads its states off them.  Only one energy
     is kept, so memory stays bounded.  Strict mode keeps only the
     representations that pass `is_strict`.  Every call returns new reps in
-    a new list.  Returns [] when nothing represents the energy.
+    a new list.  Returns [] when nothing represents the energy, as for every
+    E < 4, which the solve answers with no tuple.
     """
-    if energy < 4:
-        return []
     tuples = _rep_tuples(energy)
     if mode is RepMode.STRICT:
         tuples = [t for t in tuples if _strict(*t)]

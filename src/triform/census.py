@@ -79,7 +79,9 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     energies are those of the states (n1, n2) with n2 > 3*n1 and n2 = n1
     (mod 2), and the stripe bounds of the window (`_stripes`) find them.
     The walk zeroes the count of each seed energy in the window, and every
-    same-parity count still equal to 3 is a counterexample.  `find_seed`
+    same-parity count still equal to 3 is a counterexample.  It runs in
+    every window, one with no 3-fold level too, where it finds none, and
+    stops at the first n1 whose stripe holds no seed state.  `find_seed`
     over the states is the independent route (`check_perrin_conjecture`).
 
     Doublet tally: `brahmagupta_total` counts the doublet levels, and each
@@ -92,11 +94,8 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     perrin_exceptions = []
     squares = [n2 * n2 for n2 in range(math.isqrt(spectrum.e_max) + 1)]
     for lo, counts in spectrum.count_windows():
-        same = counts[0::4]
-        _tally(levels[Parity.SAME], same)
+        _tally(levels[Parity.SAME], counts[0::4])
         _tally(levels[Parity.OPPOSITE], counts[1::2])
-        if 3 not in same:
-            continue
         for n1, offset, first, stop in _stripes(lo, lo + len(counts)):
             if stop <= 3 * n1 + 1:
                 break  # no seed state for this n1 or any larger one

@@ -24,7 +24,9 @@ doubled coordinates (`_half_text`), and writes the JSON one rep at a time;
 `braham reps` writes its reps the same way.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
-(no such level, counterexample found); 2 usage or input error.
+(no such level, counterexample found); 2 usage or input error; 141 the
+reader closed stdout early (128 + SIGPIPE, what a shell reports for
+`seq ... | head`), with nothing on stderr.
 
 Rationals are serialized as "p/q" ("3/2", plain "2" for integers) and parsed
 back the same way, round-tripping exactly.
@@ -36,6 +38,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -80,30 +83,37 @@ def parse_rational(text: str) -> Fraction:
 # The most digits a number given to `braham doublet` or `braham inverse` may
 # spell.  Then every value they print has at most 6 * _MAX_DIGITS + 2 digits
 # (the longest is the product of forms of a tuple that factors no integer),
-# within the 4300 digits Python converts between int and str by default.
+# within the 4300 digits Python converts between int and str by default.  A
+# lower limit lowers the bound; the cap stays, because it also keeps
+# `Fraction` from writing out a huge power of ten.
 _MAX_DIGITS = 700
 
 
 class _TooManyDigits(Exception):
-    """An argument spells more than `_MAX_DIGITS` digits.  Not a ValueError,
-    so argparse lets it through to `main`, which reports it on one line."""
+    """An argument spells more digits than the bound.  Not a ValueError, so
+    argparse lets it through to `main`, which reports it on one line."""
 
 
 def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
-    """`parse`, after refusing a text that may spell more than `_MAX_DIGITS`
-    digits: one longer than that, or one whose length plus the size of its
-    decimal exponent is, because `Fraction` writes out the power of ten."""
+    """`parse`, after refusing a text that may spell more digits than the
+    bound: one longer than that, or one whose length plus the size of its
+    decimal exponent is, because `Fraction` writes out the power of ten.
+    The bound is `_MAX_DIGITS`, or (limit - 2) // 6 when the interpreter's
+    int/str limit is lower; a limit of 0, or none (before Python 3.10.7),
+    leaves `_MAX_DIGITS`."""
     def bounded(text: str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bound = min(_MAX_DIGITS, (limit - 2) // 6) if limit else _MAX_DIGITS
         size = len(text)
         _, e, exponent = text.lower().partition("e")
-        if e and size <= _MAX_DIGITS:
+        if e and size <= bound:
             try:
                 size += abs(int(exponent))
             except ValueError:
                 pass  # not a number, which `parse` reports
-        if size > _MAX_DIGITS:
+        if size > bound:
             shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-            raise _TooManyDigits(f"{shown} spells more than {_MAX_DIGITS} digits")
+            raise _TooManyDigits(f"{shown} spells more than {bound} digits")
         return parse(text)
 
     bounded.__name__ = parse.__name__  # argparse names a malformed value by it
@@ -554,9 +564,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (EmptySpectrumError, _TooManyDigits) as exc:
         return _fail_usage(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -116,9 +116,9 @@ class Spectrum:
     never the whole range, so memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
-    joined from the count windows on first use and cached: iteration (the
-    realized energies, ascending), `len`, `state_count`, `degeneracy_of`
-    and `in` read it.  `[]` solves its one energy (`level_of`).  The table
+    joined from the count windows on first use and cached, or built at
+    construction from explicit buckets: iteration (the realized energies,
+    ascending), `len`, `state_count`, `degeneracy_of` and `in` read it.  `[]` solves its one energy (`level_of`).  The table
     is a pure function of e_max, so concurrent readers that race to build
     it build the same value and stay safe.
     """
@@ -129,12 +129,20 @@ class Spectrum:
         self, e_max: int, buckets: "Optional[dict[int, list[tuple[int, int]]]]" = None
     ):
         # Internal constructor: use enumerate_spectrum().  Explicit buckets
-        # map energy -> list of (n1, n2) already ascending in n1; then the
-        # count windows are read off their lengths and `raw_items` reads
-        # them in place of the walk.  `[]` never reads them.
+        # map energy -> list of (n1, n2) already ascending in n1; the count
+        # table is then built here, off their lengths (a count above 255
+        # raises ValueError, an energy outside 0..e_max is left out), and
+        # `raw_items` reads the buckets in place of the walk.  `[]` never
+        # reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
+        if buckets is not None:
+            counts = bytearray(e_max + 1)
+            for energy, states in buckets.items():
+                if 0 <= energy <= e_max:
+                    counts[energy] = len(states)
+            self._counts = bytes(counts)
 
     @property
     def e_max(self) -> int:
@@ -147,10 +155,9 @@ class Spectrum:
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
         fresh `bytearray` the caller may change.  The stripe adds 1 at
-        3*n1^2 + n2^2 for every state in the window (`_stripes`); explicit
-        buckets given to the constructor are read off by their lengths
-        instead, and a count table already built (`degeneracies`) is read
-        in place of either.
+        3*n1^2 + n2^2 for every state in the window (`_stripes`), unless the
+        count table is already built (`degeneracies`, or the constructor
+        from explicit buckets): then each window is a copy of its slice.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping.  Realized degeneracies stay far
@@ -165,19 +172,15 @@ class Spectrum:
 
     def _window_counts(self, lo: int, hi: int, squares: "list[int]") -> bytearray:
         """The counts of the energies [lo, hi); squares[n2] is n2^2.  Once the
-        whole table is built, a window is a copy of its slice, so a census
+        whole table is built (by `degeneracies`, or at construction from
+        explicit buckets), a window is a copy of its slice, so a census
         after `len` or `state_count` does not stripe the range again."""
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
         counts = bytearray(hi - lo)
-        if self._buckets is None:
-            for _, offset, first, stop in _stripes(lo, hi):
-                for square in squares[first:stop]:
-                    counts[offset + square] += 1
-        else:
-            for energy, states in self._buckets.items():
-                if lo <= energy < hi:
-                    counts[energy - lo] = len(states)
+        for _, offset, first, stop in _stripes(lo, hi):
+            for square in squares[first:stop]:
+                counts[offset + square] += 1
         return counts
 
     def degeneracies(self) -> bytes:
@@ -404,53 +407,52 @@ def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, 
     """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times one
     of the elements, unsorted.
 
-    a + b*w times the units 1, 1 + w, w, -1, -1 - w and -w gives (a, b),
-    (a - b, a), (-b, a - b), (-a, -b), (b - a, -a) and (b, b - a); (c, d)
-    is y + x*sqrt(-3) for d = 2x, c = x + y, so d must be even.  Unless 2
-    divides a + b*w (a and b both even), exactly one of b, a and a - b is
-    even, picked by (a mod 2, b mod 2): one +- pair, of which only the one
-    with d > 0 takes the test c > d/2.  An element that 2 divides keeps the
-    six-unit loop.
+    a + b*w times the units 1, 1 + w and w gives (a, b), (a - b, a) and
+    (-b, a - b); the units -1, -1 - w and -w give their negatives.  (c, d)
+    is y + x*sqrt(-3) for d = 2x, c = x + y, so d must be even, and of each
+    +- pair only the one with d > 0 can qualify: the rule keeps each of the
+    three pairs whose d is even, flips its sign when d < 0, and takes it
+    when d > 0 and c > d/2.  Unless 2 divides a + b*w (a and b both even),
+    exactly one of b, a and a - b is even; when 2 divides it, all three are,
+    which covers all six units.
     """
     solutions = []
     for a, b in elements:
-        if b & 1:
-            a, b = (-b, a - b) if a & 1 else (a - b, a)
-        elif a & 1 == 0:
-            for c, d in ((a, b), (a - b, a), (-b, a - b), (-a, -b), (b - a, -a), (b, b - a)):
-                if d > 0 and c > d >> 1:
+        for c, d in ((a, b), (a - b, a), (-b, a - b)):
+            if d & 1 == 0:
+                if d < 0:
+                    c, d = -c, -d
+                if d and c > d >> 1:
                     solutions.append((d >> 1, c - (d >> 1)))
-            continue
-        if b < 0:
-            a, b = -a, -b
-        if b and a > b >> 1:
-            solutions.append((b >> 1, a - (b >> 1)))
     return solutions
 
 
 @lru_cache(maxsize=1)
 def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
-    """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted,
-    for E >= 4: the reps (v1, v2, a/2, b/2) of `brahmagupta.rep_search`.
+    """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted:
+    the reps (v1, v2, a/2, b/2) of `brahmagupta.rep_search`.  Empty for
+    E < 4, where no rep exists; the one place that rule is written.
 
     The one solver, kept for the last energy asked: `level_of` reads its
     states off the same tuples (`form_solutions`), so a `level` query
     factors 4*E once and solves each split prime once: each prime gets one
     table of rows (`_prime_rows`).  The elements of norm d, for every
-    divisor d of 4*E, are prefix products: the lists grow one prime at a
-    time, so each product over a prefix of the primes is made once.  An
-    exponent whose row or cofactor row is empty, such as an odd power of an
-    inert prime, is not walked: one side of the product would have no
-    solution.  Each divisor's solutions (`_associate_solutions`) are paired
+    divisor d of 4*E, are prefix products (`_mul`): the lists grow one
+    prime at a time, so each product over a prefix of the primes is made
+    once.  An exponent whose row or cofactor row is empty, such as an odd
+    power of an inert prime, is not walked: one side of the product would
+    have no solution.  Each divisor's solutions (`_associate_solutions`) are paired
     with its cofactor's, and only the final list is sorted.  The tuple is
     immutable, so no caller can change what the next one reads.
     """
+    if energy < 4:
+        return ()
     products = {1: [(1, 0)]}  # divisor -> the elements of that norm
     for p, k in factorize(4 * energy):
         rows = _prime_rows(p, k)
         steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
         products = {
-            d * q: [(a * c - b * s, a * s + b * c - b * s) for a, b in elements for c, s in row]
+            d * q: [_mul(element, other) for element in elements for other in row]
             for d, elements in products.items() for q, row in steps
         }
     solved = {d: _associate_solutions(elements) for d, elements in products.items()}
@@ -463,10 +465,9 @@ def form_solutions(n: int) -> "list[tuple[int, int]]":
 
     These are the reps (1, 1, x/2, y/2) of n, since (3 + 1) * (3*x^2 + y^2)
     = 4*n: the tuples of `_rep_tuples(n)` that sort before (1, 2), cut off
-    by one bisection, already ascending in x.  Empty for n < 4.
+    by one bisection, already ascending in x.  Empty for n < 4, as the
+    solve is.
     """
-    if n < 4:
-        return []
     tuples = _rep_tuples(n)
     return [(a, b) for _, _, a, b in tuples[:bisect.bisect_left(tuples, (1, 2))]]
 

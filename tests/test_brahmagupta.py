@@ -352,6 +352,15 @@ def test_rep_search_small_energies():
     assert rep_search(5) == []
 
 
+@pytest.mark.parametrize("energy", range(-2, 4))
+def test_no_rep_and_no_level_below_4(energy):
+    # the solve alone answers E < 4; its callers keep no guard of their own
+    assert rep_search(energy, RepMode.FACTORIZATION) == []
+    assert rep_search(energy, RepMode.STRICT) == []
+    assert spectrum_module.form_solutions(energy) == []
+    assert level_of(energy) is None
+
+
 def test_rep_search_sorted_and_valid():
     for energy in (91, 196, 364, 1267):
         reps = rep_search(energy)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -518,6 +519,54 @@ def test_numbers_at_the_digit_bound_print_every_value(capsys):
     assert (code, err) == (0, "") and len(str(json.loads(out)["energy"])) > 2800
     code, out, err = run_cli(capsys, "braham", "doublet", n + "9", n, "1", "1")
     assert (code, out) == (2, "") and "digits" in err
+
+
+def _braham_at_a_640_digit_limit(*argv):
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    return subprocess.run([sys.executable, "-m", "triform", "braham", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+
+
+@needs_int_str_limit
+def test_digit_bound_follows_the_interpreter_limit():
+    # 400 nines wrote 460 B of partial JSON, then a ValueError traceback, exit 1
+    done = _braham_at_a_640_digit_limit("doublet", "9" * 400, "1", "1", "1",
+                                        "--format", "json")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.count("\n") == 1
+    assert "more than 106 digits" in done.stderr  # (640 - 2) // 6
+
+
+@needs_int_str_limit
+def test_numbers_at_the_bound_of_a_640_digit_limit_print_every_value():
+    n = "9" * 106
+    v3, v4 = "9" * 104 + "/7", "1/" + "9" * 104
+    done = _braham_at_a_640_digit_limit("doublet", n, n, v3, v4)
+    assert (done.returncode, done.stdout) == (2, "") and done.stderr.count("\n") == 1
+    product = done.stderr.split("(got ")[1].rstrip(")\n")
+    assert len(product.split("/")[0]) > 600
+    done = _braham_at_a_640_digit_limit("doublet", n, n, n, n, "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(str(json.loads(done.stdout)["energy"])) > 400
+    done = _braham_at_a_640_digit_limit("doublet", n + "9", n, "1", "1")
+    assert (done.returncode, done.stdout) == (2, "") and "digits" in done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_reader_that_closes_early_ends_the_run_with_141(fmt):
+    # a closed stdout printed a BrokenPipeError traceback and exited 1
+    argv = [sys.executable, "-m", "triform", "spectrum", "--emax", "100000", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.strip() in (b"{", b"energy  parity      g  states")
+    assert (code, err) == (141, b"")
 
 
 # ------------------------------------------------------- format invariants

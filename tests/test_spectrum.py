@@ -268,16 +268,35 @@ def test_count_windows_read_a_built_table(monkeypatch, naive_2700):
     assert spectrum.degeneracies()[4] == 1 == len(naive_2700[4])
 
 
+def test_explicit_bucket_count_windows_never_stripe(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
+    items = list(enumerate_spectrum(2700).raw_items())
+    spectrum = Spectrum(2700, dict(items))
+
+    def no_stripe(lo, hi):
+        raise AssertionError("striped explicit buckets")
+
+    monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
+    windows = list(spectrum.count_windows())
+    assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
+    assert b"".join(c for _, c in windows) == bytes(
+        len(dict(items).get(e, ())) for e in range(2701))
+    assert list(spectrum.raw_items()) == items
+
+
 def test_degeneracies_read_off_explicit_buckets():
     buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
     assert Spectrum(3000, buckets).degeneracies() == enumerate_spectrum(3000).degeneracies()
+    # energies outside 0..e_max are left out
+    outside = {**buckets, -1: [(1, 1)], 3001: [(1, 1)]}
+    assert Spectrum(3000, outside).degeneracies() == enumerate_spectrum(3000).degeneracies()
 
 
 def test_degeneracies_raise_rather_than_wrap():
     # 255 is the most a byte holds; realized degeneracies first pass it near 10^12
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
-    with pytest.raises(ValueError):
-        Spectrum(4, {4: [(1, 1)] * 256}).degeneracies()
+    with pytest.raises(ValueError):  # at construction, which counts the buckets
+        Spectrum(4, {4: [(1, 1)] * 256})
 
 
 def test_energy_level_validation():
@@ -408,8 +427,9 @@ def test_solutions_match_the_unit_loop_on_a_seeded_sample():
 @pytest.mark.parametrize("n", [4 * 3 * 7, 2**6 * 3**5 * 7 * 13, 2**10 * 7 * 13 * 19, 4**3 * 7**3])
 def test_solutions_of_elements_that_2_divides_match_the_unit_loop(n):
     # 2 is inert, so its row at an even exponent 2j >= 2 is the integer 2^j,
-    # and every product with it has both coordinates even: these elements
-    # keep the six-unit loop in `_associate_solutions`
+    # and every product with it has both coordinates even: for these
+    # elements all three pairs of the rule in `_associate_solutions` have an
+    # even d, and together with their sign flips they cover all six units
     solved = 0
     for rows in _exponent_rows(n):
         if rows[0] and rows[0][0][0] > 1:
