@@ -275,7 +275,8 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     is kept, so memory stays bounded.  Strict mode keeps only the
     representations that pass `is_strict`.  Every call returns new reps in
     a new list.  Returns [] when nothing represents the energy, as for every
-    E < 4, which the solve answers with no tuple.
+    E < 4, which the solve answers with no tuple, and raises ValueError, as
+    the solve does, for an energy that is not an int.
     """
     tuples = _rep_tuples(energy)
     if mode is RepMode.STRICT:

@@ -4,24 +4,27 @@ Subcommands: spectrum, census, level, verify, braham (reps|doublet|inverse).
 Every subcommand takes --format {table,json,csv}; results go to stdout,
 diagnostics to stderr.
 
-Each command builds its result once, as a JSON-shaped record that holds
-the library's values as they were produced (a state or seed stays the tuple
-the library made, a list of them stays a list), and hands it to `_render`,
-the only code that looks at --format.  The three formats are views of that
-record: JSON dumps it, CSV projects a list of row records onto a header
-through one cell rule (`_cell`: a tuple is a pair, a list joins its cells),
-and the table is a list of lines read off the same records.  No view goes
-back to the domain objects.
+Each command but `spectrum` builds its result once, as a JSON-shaped
+record that holds the library's values as they were produced (a state or
+seed stays the tuple the library made, a list of them stays a list), and
+hands it to `_render`.  The three formats are views of that record: JSON
+dumps it, CSV projects a list of row records onto a header through one
+cell rule (`_cell`: a tuple is a pair, a list joins its cells), and the
+table is a list of lines read off the same records.  No view goes back to
+the domain objects.
 
 Three JSON views are templates instead, written piece by piece in bytes
 equal to the `json.dump` of the whole document: with `indent` set, `json`
 uses its pure-Python encoder, one call per list element.
-`spectrum`, whose output grows with --emax, keeps no record of the whole
-result: it writes each level as the spectrum's windowed walk yields it, and
-its CSV and table views read a stream of level records through `_render`.
-`level` builds its record, with each rep's v3 and v4 printed off its
-doubled coordinates (`_half_text`), and writes the JSON one rep at a time;
-`braham reps` writes its reps the same way.
+`spectrum`, whose output grows with --emax, builds no record: the
+spectrum's text walk (`Spectrum.text_levels`) yields each level with its
+states already written as one string, from the fragments of the chosen
+format (`_STATE_FRAGMENTS`), and the format writes the level around that
+string, the JSON by template and the CSV and table as one line each, in
+the bytes the record views print.
+`level` builds its record, and only its JSON prints the reps, each with
+v3 and v4 printed off its doubled coordinates (`_half_text`), one rep at a
+time; `braham reps` writes its reps the same way.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error; 141 the
@@ -41,7 +44,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
@@ -138,9 +141,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(args: argparse.Namespace, doc: Optional[dict], header: "list[str]",
-            rows: "Iterable[dict]",
-            table: "Callable[[Optional[dict], Iterable[dict]], Iterable[str]]") -> None:
+def _render(args: argparse.Namespace, doc: dict, header: "list[str]", rows: "Iterable[dict]",
+            table: "Callable[[dict, Iterable[dict]], Iterable[str]]") -> None:
     """Write one command's result to stdout in the chosen --format: `doc` as
     JSON, `rows` projected onto `header` as CSV, or the lines `table(doc, rows)`
     returns."""
@@ -166,50 +168,50 @@ def _states_human(states) -> str:
 _PARITY_NAME = {r: parity_of_energy(r).value for r in (0, 1, 3)}
 
 
-def _level_record(energy: int, states) -> dict:
-    return {
-        "energy": energy,
-        "parity": _PARITY_NAME[energy % 4],
-        "degeneracy": len(states),
-        "states": states,
-    }
+# Per --format, the fragments (first, second, sep) that `Spectrum.text_levels`
+# writes a level's states with, first.format(n1) + second.format(n2) per
+# state joined by sep: they give the bytes `json.dump(indent=2)` prints for
+# the states of a level, its CSV cell (`_cell`) and its table column
+# (`_states_human`).
+_STATE_FRAGMENTS = {
+    "json": ("        [\n          {},\n          ", "{}\n        ]", ",\n"),
+    "csv": ("{}:", "{}", ";"),
+    "table": ("({},", "{})", " "),
+}
 
 
-def _spectrum_table(doc: Optional[dict], levels: "Iterable[dict]") -> "Iterator[str]":
-    yield f"{'energy':>8}  {'parity':<8}  {'g':>3}  states"
-    for lv in levels:
-        yield (f"{lv['energy']:>8}  {lv['parity']:<8}  {lv['degeneracy']:>3}  "
-               f"{_states_human(lv['states'])}")
-
-
-def _write_spectrum_json(e_max: int, levels: "Iterable[tuple[int, list]]") -> None:
+def _write_spectrum_json(e_max: int, levels: "Iterable[tuple[int, int, str]]") -> None:
     """Write the spectrum document level by level: the bytes equal
     `json.dump({"e_max": e_max, "levels": [...]}, indent=2)` plus a newline,
     but no level outlives its own write."""
     write = sys.stdout.write
     write(f'{{\n  "e_max": {e_max},\n  "levels": [')
     sep = "\n"
-    for energy, states in levels:
-        pairs = ",\n".join([f"        [\n          {a},\n          {b}\n        ]"
-                            for a, b in states])
+    for energy, degeneracy, text in levels:
         write(f'{sep}    {{\n      "energy": {energy},\n'
               f'      "parity": "{_PARITY_NAME[energy % 4]}",\n'
-              f'      "degeneracy": {len(states)},\n'
-              f'      "states": [\n{pairs}\n      ]\n    }}')
+              f'      "degeneracy": {degeneracy},\n'
+              f'      "states": [\n{text}\n      ]\n    }}')
         sep = ",\n"
     write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    levels = enumerate_spectrum(args.emax).raw_items()
+    levels = enumerate_spectrum(args.emax).text_levels(*_STATE_FRAGMENTS[args.format])
     if args.only_degenerate:
-        levels = (level for level in levels if len(level[1]) >= 2)
+        levels = (level for level in levels if level[1] >= 2)
+    out = sys.stdout
     if args.format == "json":
         _write_spectrum_json(args.emax, levels)
+    elif args.format == "csv":
+        # no cell needs quoting: a number, a parity name, or digits, ':' and ';'
+        out.write("energy,parity,degeneracy,states\n")
+        out.writelines(f"{energy},{_PARITY_NAME[energy % 4]},{degeneracy},{text}\n"
+                       for energy, degeneracy, text in levels)
     else:
-        _render(args, None, ["energy", "parity", "degeneracy", "states"],
-                (_level_record(energy, states) for energy, states in levels),
-                _spectrum_table)
+        out.write(f"{'energy':>8}  {'parity':<8}  {'g':>3}  states\n")
+        out.writelines(f"{energy:>8}  {_PARITY_NAME[energy % 4]:<8}  {degeneracy:>3}  {text}\n"
+                       for energy, degeneracy, text in levels)
     return 0
 
 
@@ -310,23 +312,27 @@ def cmd_level(args: argparse.Namespace) -> int:
         print(f"no such level: E={args.energy}", file=sys.stderr)
         return 1
     seed = match_perrin(level)
-    rows, all_integer, strict = [], 0, 0
-    for r in rep_search(level.energy, RepMode.FACTORIZATION):
-        rows.append((r.v1, r.v2, _half_text(r.a), _half_text(r.b)))
+    reps = rep_search(level.energy, RepMode.FACTORIZATION)
+    all_integer = strict = 0
+    for r in reps:
         all_integer += (r.a | r.b) & 1 == 0  # v3 and v4 are integers when a and b are even
         strict += _strict(r.v1, r.v2, r.a, r.b)
     doc = {
+        "energy": level.energy,
+        "parity": _PARITY_NAME[level.energy % 4],
+        "degeneracy": level.degeneracy,
         # a list of states: `_cell` would print a tuple of them as one pair
-        **_level_record(level.energy, list(level.states)),
+        "states": list(level.states),
         "perrin_seed": (seed.m1, seed.m2) if seed else None,
-        "reps": rows,
-        "rep_counts": {"factorization": len(rows), "all_integer": all_integer,
+        "rep_counts": {"factorization": len(reps), "all_integer": all_integer,
                        "strict": strict},
     }
     if args.format == "json":
+        # only the JSON prints the reps; the table and CSV print their counts
+        doc["reps"] = [(r.v1, r.v2, _half_text(r.a), _half_text(r.b)) for r in reps]
         _write_level_json(doc)
         return 0
-    row = {**doc, "reps": len(rows), "all_integer_reps": all_integer, "strict_reps": strict}
+    row = {**doc, "reps": len(reps), "all_integer_reps": all_integer, "strict_reps": strict}
     header = ["energy", "parity", "degeneracy", "states", "perrin_seed", "reps",
               "all_integer_reps", "strict_reps"]
     _render(args, doc, header, [row], _level_table)

@@ -108,12 +108,14 @@ class EnergyLevel:
 class Spectrum:
     """The states of every energy E <= e_max, read by walks and by counts.
 
-    Nothing is enumerated at construction.  Two windowed walks read the
+    Nothing is enumerated at construction.  Three windowed walks read the
     range, each afresh on every call: `count_windows` yields the state
-    count of every energy, one window of `_COUNT_WINDOW` energies at a time,
-    and `raw_items` (or `iter_levels`) yields the states of every level,
-    one window of `_WINDOW` energies at a time.  Each holds one window and
-    never the whole range, so memory stays flat as e_max grows.
+    count of every energy, one window of `_COUNT_WINDOW` energies at a time;
+    `raw_items` (or `iter_levels`) yields the states of every level, one
+    window of `_WINDOW` energies at a time; and `text_levels` yields each
+    level's states written as one string, one window of `_TEXT_WINDOW`
+    energies at a time.  Each holds one window and never the whole range,
+    so memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
     joined from the count windows on first use and cached, or built at
@@ -132,8 +134,8 @@ class Spectrum:
         # map energy -> list of (n1, n2) already ascending in n1; the count
         # table is then built here, off their lengths (a count above 255
         # raises ValueError, an energy outside 0..e_max is left out), and
-        # `raw_items` reads the buckets in place of the walk.  `[]` never
-        # reads them.
+        # `raw_items` and `text_levels` read the buckets in place of their
+        # walks.  `[]` never reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
@@ -254,6 +256,48 @@ class Spectrum:
         for lo in range(0, self._e_max + 1, _WINDOW):
             yield from _window_items(lo, min(lo + _WINDOW, self._e_max + 1))
 
+    def text_levels(self, first: str, second: str, sep: str) -> "Iterator[tuple[int, int, str]]":
+        """(energy, degeneracy, text) for every level in ascending energy,
+        where text writes each state (n1, n2) as first.format(n1) +
+        second.format(n2), ascending in n1, joined by `sep`.
+
+        Each fragment is formatted once per index, into two tables, and the
+        stripe of each window (`_stripes`) appends a state's two fragments
+        to its energy's string as it reaches the state, so no state tuple,
+        level list or per-state format is made.  Like `raw_items`, each call
+        walks the range afresh, one window of `_TEXT_WINDOW` energies at a
+        time, and explicit buckets given to the constructor are read instead.
+        The degeneracies are counted one byte per energy, so a level of more
+        than 255 states raises ValueError, as `count_windows` does; that
+        takes an E near 10^12, which no walk of the whole range reaches.
+        """
+        e_max = self._e_max
+        firsts = [first.format(n1) for n1 in range(math.isqrt(e_max // 3) + 1)]
+        seconds = [second.format(n2) for n2 in range(math.isqrt(e_max) + 1)]
+        if self._buckets is not None:
+            buckets = self._buckets
+            for energy in self:
+                states = buckets[energy]
+                yield energy, len(states), sep.join([firsts[n1] + seconds[n2]
+                                                     for n1, n2 in states])
+            return
+        squares = [n2 * n2 for n2 in range(len(seconds))]
+        for lo in range(0, e_max + 1, _TEXT_WINDOW):
+            hi = min(lo + _TEXT_WINDOW, e_max + 1)
+            texts: "list[Optional[str]]" = [None] * (hi - lo)
+            counts = bytearray(hi - lo)
+            for n1, offset, start, stop in _stripes(lo, hi):
+                head = firsts[n1]
+                joined = sep + head
+                for square, tail in zip(squares[start:stop], seconds[start:stop]):
+                    at = offset + square
+                    if counts[at]:
+                        texts[at] += joined + tail
+                    else:
+                        texts[at] = head + tail
+                    counts[at] += 1
+            yield from itertools.compress(zip(range(lo, hi), counts, texts), counts)
+
     def __repr__(self) -> str:
         return f"Spectrum(e_max={self._e_max})"
 
@@ -267,6 +311,15 @@ def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
 # one window's states take a few MB.
 _WINDOW = 1 << 16
 
+# Energies per window of `Spectrum.text_levels`, half of `_WINDOW`.  A JSON
+# state is about 47 characters, more than its tuple: at _WINDOW, the peak
+# RSS of `spectrum --emax 300000 --format json` run after other work in
+# the same process was 0.3 MB above the tuple walk's, and at half of it
+# 1.8 MB below, no slower from --emax 10^6 to 3*10^7 (2-vCPU x86, Python
+# 3.11).  A quarter of _WINDOW was a fifth slower at 3*10^7, where the
+# per-n1 set-up starts to tell.
+_TEXT_WINDOW = 1 << 15
+
 # Energies per window of `Spectrum.count_windows`: one byte each, so a
 # window is 1 MB and stays in cache while the stripe writes into it.  A
 # whole-range table at 2*10^7 took about twice as long to stripe.
@@ -278,7 +331,8 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
     energies [lo, hi), ascending: the states in the window are (n1, n2) for
     n2 in range(first, stop), which may be empty, and (n1, n2) has the
     energy lo + offset + n2^2.  The one place the stripe bounds are worked
-    out: the count windows, the level walk and the census seed walk share it."""
+    out: the count windows, the level walk, the text walk and the census
+    seed walk share it."""
     n1 = 1
     while (base := 3 * n1 * n1) + 1 < hi:
         first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
@@ -312,8 +366,11 @@ def enumerate_spectrum(e_max: int) -> Spectrum:
     :class:`Spectrum`).  Deterministic; the result is independent of
     evaluation order by construction.
 
-    Raises :class:`EmptySpectrumError` for e_max < 4, where no state exists.
+    Raises ValueError for an e_max that is not an int, and
+    :class:`EmptySpectrumError` for e_max < 4, where no state exists.
     """
+    if not isinstance(e_max, int):
+        raise ValueError(f"e_max must be an int, got {e_max!r}")
     if e_max < 4:
         raise EmptySpectrumError(f"no states below E=4 (got e_max={e_max})")
     return Spectrum(e_max)
@@ -427,7 +484,7 @@ def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, 
     return solutions
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
     """Every (v1, v2, a, b) with (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E, sorted:
     the reps (v1, v2, a/2, b/2) of `brahmagupta.rep_search`.  Empty for
@@ -444,7 +501,13 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
     have no solution.  Each divisor's solutions (`_associate_solutions`) are paired
     with its cofactor's, and only the final list is sorted.  The tuple is
     immutable, so no caller can change what the next one reads.
+
+    Raises ValueError for an energy that is not an int (a bool is one, as
+    in `energy_of`).  The cache is typed, so a float or a Fraction equal to
+    the energy kept is a different key and reaches the check.
     """
+    if not isinstance(energy, int):
+        raise ValueError(f"energy must be an int, got {energy!r}")
     if energy < 4:
         return ()
     products = {1: [(1, 0)]}  # divisor -> the elements of that norm
@@ -477,6 +540,7 @@ def level_of(energy: int) -> Optional[EnergyLevel]:
 
     The states are the solutions of 3*n1^2 + n2^2 = E (`form_solutions`),
     read off the rep solve of E, which a `rep_search` of E then reuses.
+    Raises ValueError, as the solve does, for an energy that is not an int.
     """
     states = form_solutions(energy)
     if not states:

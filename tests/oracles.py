@@ -46,15 +46,18 @@ def naive_levels(e_max: int) -> "dict[int, list[tuple[int, int]]]":
     return dict(levels)
 
 
-def spectrum_command(args) -> int:
+def spectrum_command(args, buckets=None) -> int:
     """The `spectrum` command as it was before it streamed: the record of
-    every level (from `naive_levels`) is built first, and then the whole
-    document goes to `cli._render`, which `json.dump`s it with indent=2 or
-    writes its CSV rows, or the table lines built here."""
+    every level (from `naive_levels`, or of the given energy -> states
+    buckets) is built first, and then the whole document goes to
+    `cli._render`, which `json.dump`s it with indent=2 or writes its CSV
+    rows, or the table lines built here."""
+    if buckets is None:
+        buckets = naive_levels(args.emax)
     levels = [
         {"energy": energy, "parity": parity_of_energy(energy).value,
          "degeneracy": len(states), "states": states}
-        for energy, states in sorted(naive_levels(args.emax).items())
+        for energy, states in sorted(buckets.items())
         if not args.only_degenerate or len(states) >= 2
     ]
 

@@ -17,7 +17,7 @@ from oracles import parity_of
 import triform.cli as cli
 import triform.spectrum as spectrum_module
 from triform import (
-    RepMode, build_census, classify_rep, doublet_from_rep, enumerate_spectrum,
+    RepMode, Spectrum, build_census, classify_rep, doublet_from_rep, enumerate_spectrum,
     level_of, match_perrin, rep_search,
 )
 from triform.cli import _cell, build_parser, main, parse_rational
@@ -100,6 +100,35 @@ def test_streamed_spectrum_equals_the_records_then_render_command(capsys, e_max,
     streamed = capsys.readouterr().out
     assert oracles.spectrum_command(build_parser().parse_args(argv)) == 0
     assert streamed == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--only-degenerate"]])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_spectrum_renders_explicit_buckets_with_a_state_dropped(capsys, monkeypatch, flags, fmt):
+    buckets = {e: list(states) for e, states in enumerate_spectrum(400).raw_items()}
+    buckets[28].pop(1)  # (2, 4): the 3-fold level is left with two states
+    buckets[91].pop()  # a doublet left with one state, which --only-degenerate drops
+    monkeypatch.setattr(cli, "enumerate_spectrum", lambda e_max: Spectrum(e_max, buckets))
+    argv = ["spectrum", "--emax", "400", "--format", fmt, *flags]
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    assert oracles.spectrum_command(build_parser().parse_args(argv), buckets) == 0
+    assert streamed == capsys.readouterr().out
+    assert {"json": '"energy": 28,\n      "parity": "same",\n      "degeneracy": 2,',
+            "csv": "28,same,2,1:5;3:1\n",
+            "table": "  2  (1,5) (3,1)\n"}[fmt] in streamed
+
+
+def test_only_degenerate_reads_the_walks_degeneracy(capsys, monkeypatch):
+    class Walk:
+        def text_levels(self, first, second, sep):
+            # the texts say nothing of the count: the filter must read it
+            return iter([(4, 1, "a b"), (7, 2, "c"), (12, 3, "d"), (13, 1, "e f g")])
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", lambda e_max: Walk())
+    assert main(["spectrum", "--emax", "13", "--format", "csv", "--only-degenerate"]) == 0
+    assert capsys.readouterr().out == (
+        "energy,parity,degeneracy,states\n7,opposite,2,c\n12,same,3,d\n")
 
 
 class _Sink(io.TextIOBase):

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -23,8 +24,11 @@ from triform import (
     parity_of_energy,
 )
 from triform import spectrum as spectrum_module
+from triform.brahmagupta import rep_search
+from triform.cli import _STATE_FRAGMENTS
 from triform.spectrum import (
-    _WINDOW, _associate_solutions, _mul, _prime_rows, factorize, form_solutions,
+    _TEXT_WINDOW, _WINDOW, _associate_solutions, _mul, _prime_rows, factorize,
+    form_solutions,
 )
 
 
@@ -205,6 +209,48 @@ def test_windowed_walk_equals_the_whole_range_stripe(e_max):
     assert spectrum._buckets is None and spectrum._counts is None  # nothing cached
 
 
+def _rendered(items, first, second, sep):
+    """(energy, degeneracy, text) of (energy, states) pairs, each state
+    written through the fragments one at a time: the text walk's contract."""
+    return [(energy, len(states), sep.join(first.format(a) + second.format(b)
+                                           for a, b in states))
+            for energy, states in items]
+
+
+@pytest.mark.parametrize("e_max", [4, 6, _TEXT_WINDOW - 1, _TEXT_WINDOW + 1, _WINDOW - 1,
+                                   _WINDOW + 1, 2 * _WINDOW + 3])
+@pytest.mark.parametrize("fmt", sorted(_STATE_FRAGMENTS))
+def test_text_walk_equals_the_level_walk_rendered(e_max, fmt):
+    fragments = _STATE_FRAGMENTS[fmt]
+    spectrum = enumerate_spectrum(e_max)
+    assert (list(spectrum.text_levels(*fragments))
+            == _rendered(spectrum.raw_items(), *fragments))
+    assert spectrum._buckets is None and spectrum._counts is None  # nothing cached
+
+
+@pytest.mark.parametrize("window", [4, 8, 64, 1024])
+def test_text_walk_windows_cover_the_range(monkeypatch, naive_2700, window):
+    monkeypatch.setattr(spectrum_module, "_TEXT_WINDOW", window)
+    fragments = ("<{}", "|{}>", ", ")
+    assert (list(enumerate_spectrum(2700).text_levels(*fragments))
+            == _rendered(sorted(naive_2700.items()), *fragments))
+
+
+def test_text_walk_reads_explicit_buckets(monkeypatch):
+    buckets = {e: list(states) for e, states in enumerate_spectrum(400).raw_items()}
+    del buckets[28][1]  # (2, 4) dropped: the walk must not stripe it back
+    del buckets[7]
+    spectrum = Spectrum(400, buckets)
+
+    def no_stripe(lo, hi):
+        raise AssertionError("striped explicit buckets")
+
+    monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
+    texts = list(spectrum.text_levels("{}:", "{}", ";"))
+    assert texts == _rendered(sorted(buckets.items()), "{}:", "{}", ";")
+    assert (28, 2, "1:5;3:1") in texts and 7 not in [e for e, _, _ in texts]
+
+
 def test_explicit_buckets_iterate_in_ascending_energy():
     items = list(enumerate_spectrum(300).raw_items())
     spectrum = Spectrum(300, dict(reversed(items)))
@@ -297,6 +343,30 @@ def test_degeneracies_raise_rather_than_wrap():
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
     with pytest.raises(ValueError):  # at construction, which counts the buckets
         Spectrum(4, {4: [(1, 1)] * 256})
+
+
+@pytest.mark.parametrize("energy", [4.0, 76.0, 91.0, 2.5, "91", None])
+def test_solver_and_level_refuse_an_energy_that_is_not_an_int(energy):
+    # 4.0 got EnergyLevel(energy=4.0), 76.0 a TypeError from the prime split
+    for solve in (level_of, form_solutions, rep_search):
+        with pytest.raises(ValueError, match=repr(energy).replace(".", r"\.")):
+            solve(energy)
+
+
+def test_a_value_equal_to_the_cached_energy_is_still_refused():
+    assert level_of(91).degeneracy == 2  # 91 is now the solve's cached energy
+    for energy in (91.0, Fraction(91)):
+        with pytest.raises(ValueError):
+            rep_search(energy)
+        with pytest.raises(ValueError):
+            level_of(energy)
+    assert level_of(True) is None and rep_search(True) == []  # a bool is an int
+
+
+@pytest.mark.parametrize("e_max", [10.0, 1e6, "28", None])
+def test_spectrum_refuses_a_bound_that_is_not_an_int(e_max):
+    with pytest.raises(ValueError, match="e_max must be an int"):
+        enumerate_spectrum(e_max)
 
 
 def test_energy_level_validation():
