@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .brahmagupta import RepClass, RepMode, classify_rep, rep_search
+from .brahmagupta import RepMode, rep_search
 from .perrin import match_perrin
 from .spectrum import Parity, Spectrum, _stripes
 
@@ -155,9 +155,10 @@ def check_brahmagupta_conjecture(
 ) -> "list[int]":
     """Energies of opposite-parity 2-fold levels with no representation in `mode`.
 
-    Runs the divisor-enumeration search per level; intended for desk-scale
-    ranges.  Per-level detail, including whether an all-integer
-    representation exists, comes from `doublet_coverage`.
+    Runs `rep_search`, the Eisenstein solve of `spectrum._rep_tuples`, once
+    per doublet level.  Per-level detail, including whether an all-integer
+    representation exists, comes from `doublet_coverage`, which walks the
+    range again and solves each doublet level a second time.
     """
     exceptions = []
     for level in spectrum.iter_levels():
@@ -181,16 +182,19 @@ def doublet_coverage(spectrum: Spectrum) -> "list[DoubletCoverage]":
     """Per-level representation tallies, ascending in energy.
 
     `all_integer_count` probes which doublet levels admit an all-integer
-    tuple; the first level with zero is the half-integer threshold.
+    tuple; the first level with zero is the half-integer threshold.  A rep
+    is all-integer when its doubled coordinates a and b are both even
+    (`brahmagupta.classify_rep`), tested inline.  The strict search filters
+    the tuples the factorization search just solved.
     """
     out = []
     for level in spectrum.iter_levels():
         if level.parity is Parity.OPPOSITE and level.degeneracy == 2:
             reps = rep_search(level.energy, RepMode.FACTORIZATION)
             strict = rep_search(level.energy, RepMode.STRICT)
-            all_integer = sum(
-                1 for r in reps if classify_rep(r) is RepClass.ALL_INTEGER
-            )
+            all_integer = 0
+            for r in reps:
+                all_integer += (r.a | r.b) & 1 == 0
             out.append(
                 DoubletCoverage(level.energy, len(reps), all_integer, len(strict))
             )

@@ -18,7 +18,7 @@ from .spectrum import EnergyLevel, State
 
 
 class InvalidSeedError(ValueError):
-    """Raised for seed pairs outside the range m2 > m1 >= 1."""
+    """Raised for seed pairs that are not ints with m2 > m1 >= 1."""
 
 
 @dataclass(frozen=True, order=True)
@@ -27,6 +27,11 @@ class PerrinSeed:
     m2: int
 
     def __post_init__(self) -> None:
+        # a bool is an int, as in `energy_of`; a float, str or Fraction is not
+        if not (isinstance(self.m1, int) and isinstance(self.m2, int)):
+            raise InvalidSeedError(
+                f"seed indices must be ints, got ({self.m1!r}, {self.m2!r})"
+            )
         if self.m1 < 1 or self.m2 <= self.m1:
             raise InvalidSeedError(
                 f"seed requires m2 > m1 >= 1, got ({self.m1}, {self.m2})"

@@ -88,13 +88,19 @@ class EnergyLevel:
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("an energy level holds at least one state")
+        energy = self.energy
         prev = 0
         for s in self.states:
-            if energy_of(s) != self.energy:
-                raise ValueError(f"state {s} does not have energy {self.energy}")
-            if s[0] <= prev:
-                raise ValueError("states must be strictly ascending in n1")
-            prev = s[0]
+            # one test per state, with no call: a state that fails it takes
+            # the checks one at a time, which name what failed
+            n1, n2 = s
+            if not (isinstance(n1, int) and isinstance(n2, int)
+                    and prev < n1 and 0 < n2 and 3 * n1 * n1 + n2 * n2 == energy):
+                if energy_of(s) != energy:
+                    raise ValueError(f"state {s} does not have energy {energy}")
+                if n1 <= prev:
+                    raise ValueError("states must be strictly ascending in n1")
+            prev = n1
 
     @property
     def degeneracy(self) -> int:
@@ -303,7 +309,10 @@ class Spectrum:
 
 
 def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
-    return EnergyLevel(energy, tuple(State(a, b) for a, b in states))
+    # tuple.__new__ makes each State from its pair without the Python-level
+    # State.__new__; EnergyLevel checks the states
+    new = tuple.__new__
+    return EnergyLevel(energy, tuple([new(State, s) for s in states]))
 
 
 # Energies per window of the range walk `Spectrum.raw_items`: large enough
@@ -438,7 +447,15 @@ def _split_prime(p: int) -> "tuple[int, int]":
     return (b + v, 2 * v)
 
 
-def _prime_rows(p: int, k: int) -> "list[list[tuple[int, int]]]":
+# Prime-power row tables kept by `_prime_rows`, a fixed bound.  A table of
+# p^k holds (k + 1)(k + 2)/2 elements at most, and the exponents of 4*E
+# stay small: 1024 tables of p^2 for split primes p near 10^9 take about
+# 1 MB (tracemalloc), and those of p^1 half of that.
+_PRIME_ROWS_KEPT = 1024
+
+
+@lru_cache(maxsize=_PRIME_ROWS_KEPT)
+def _prime_rows(p: int, k: int) -> "tuple[tuple[tuple[int, int], ...], ...]":
     """Row e, for e = 0..k: the Eisenstein integers of norm p^e, one per
     class of associates.
 
@@ -447,17 +464,24 @@ def _prime_rows(p: int, k: int) -> "list[list[tuple[int, int]]]":
     (1 - w)^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi from
     Cornacchia's algorithm (`_split_prime`), and its row e is
     pi^s * conj(pi)^(e-s) for s = 0..e.
+
+    The rows depend on p and k alone, never on the energy being solved, so
+    the last `_PRIME_ROWS_KEPT` tables asked for are kept: a prime power
+    that many energies share, as the small primes of a `verify` range do,
+    is split and multiplied out once.  The rows are tuples, so no caller
+    can change what the next one reads.
     """
     if p % 3 == 2:
-        return [[] if e % 2 else [(p ** (e // 2), 0)] for e in range(k + 1)]
+        return tuple(() if e % 2 else ((p ** (e // 2), 0),) for e in range(k + 1))
     pi = (1, -1) if p == 3 else _split_prime(p)
     powers = [(1, 0)]
     for _ in range(k):
         powers.append(_mul(powers[-1], pi))
     if p == 3:
-        return [[power] for power in powers]
+        return tuple((power,) for power in powers)
     conj = [(a - b, -b) for a, b in powers]  # conj(a + b*w) = (a - b) - b*w
-    return [[_mul(powers[s], conj[e - s]) for s in range(e + 1)] for e in range(k + 1)]
+    return tuple(tuple(_mul(powers[s], conj[e - s]) for s in range(e + 1))
+                 for e in range(k + 1))
 
 
 def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
@@ -492,13 +516,15 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
 
     The one solver, kept for the last energy asked: `level_of` reads its
     states off the same tuples (`form_solutions`), so a `level` query
-    factors 4*E once and solves each split prime once: each prime gets one
-    table of rows (`_prime_rows`).  The elements of norm d, for every
-    divisor d of 4*E, are prefix products (`_mul`): the lists grow one
-    prime at a time, so each product over a prefix of the primes is made
-    once.  An exponent whose row or cofactor row is empty, such as an odd
-    power of an inert prime, is not walked: one side of the product would
-    have no solution.  Each divisor's solutions (`_associate_solutions`) are paired
+    factors 4*E once.  Each prime power of 4*E gets one table of rows
+    (`_prime_rows`), which is kept across energies, so a split prime that
+    an earlier energy shared at the same exponent is not solved again.
+    The elements of norm d, for every divisor d of 4*E, are prefix
+    products, `_mul` written out inline: the lists grow one prime at a
+    time, so each product over a prefix of the primes is made once.  An
+    exponent whose row or cofactor row is empty, such as an odd power of
+    an inert prime, is not walked: one side of the product would have no
+    solution.  Each divisor's solutions (`_associate_solutions`) are paired
     with its cofactor's, and only the final list is sorted.  The tuple is
     immutable, so no caller can change what the next one reads.
 
@@ -514,9 +540,10 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
     for p, k in factorize(4 * energy):
         rows = _prime_rows(p, k)
         steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
+        # (a + b*w) * (c + d*w), as `_mul` has it, written out in place
         products = {
-            d * q: [_mul(element, other) for element in elements for other in row]
-            for d, elements in products.items() for q, row in steps
+            n * q: [(a * c - b * d, a * d + b * c - b * d) for a, b in elements for c, d in row]
+            for n, elements in products.items() for q, row in steps
         }
     solved = {d: _associate_solutions(elements) for d, elements in products.items()}
     return tuple(sorted([(v1, v2, a, b) for d, first in solved.items() if first

@@ -13,9 +13,11 @@ import oracles
 @pytest.fixture(autouse=True)
 def cold_rep_cache():
     # the one solver keeps the last energy's solved tuples, which level_of
-    # and rep_search both read; a test that counts solver or factorization
-    # calls, or monkeypatches either, must not read a cached energy.
+    # and rep_search both read, and the prime-power rows of every energy
+    # solved; a test that counts solver, factorization or Cornacchia calls,
+    # or monkeypatches any of them, must not read a cached energy or row.
     spectrum._rep_tuples.cache_clear()
+    spectrum._prime_rows.cache_clear()
 
 
 @pytest.fixture(scope="session")

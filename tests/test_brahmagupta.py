@@ -416,6 +416,20 @@ def test_each_split_prime_is_solved_once(split_prime_calls, energy, solve):
     assert sorted(split_prime_calls) == [p for p in (7, 13, 19, 31, 37) if energy % p == 0]
 
 
+@pytest.mark.parametrize("first, second, shared", [
+    (91, 1267, [7]),  # 4*91 = 2^2*7*13, 4*1267 = 2^2*7*181
+    (1267, 91, [7]),
+    (91, 4 * 7 * 13 * 19 * 31 * 37, [7, 13]),
+])
+def test_a_split_prime_shared_with_an_earlier_energy_is_not_solved_again(
+        split_prime_calls, first, second, shared):
+    assert rep_search(first)
+    assert set(shared) <= set(split_prime_calls)
+    split_prime_calls.clear()
+    assert rep_search(second)
+    assert split_prime_calls and not set(shared) & set(split_prime_calls)
+
+
 @pytest.mark.parametrize("energy", [91, 1267, 4 * 7 * 13 * 19 * 31 * 37, 7**4 * 13**2])
 def test_strict_search_after_a_factorization_search_reuses_its_solve(split_prime_calls, energy):
     reps = rep_search(energy)

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,12 +44,18 @@ def test_perrin_energy_52_cross_check():
     assert level_of(52).states == (State(1, 7), State(3, 5), State(4, 2))
 
 
-@pytest.mark.parametrize("seed", [(2, 2), (3, 2), (0, 1), (-1, 4)])
+@pytest.mark.parametrize("seed", [(2, 2), (3, 2), (0, 1), (-1, 4),
+                                  # not ints: no float, str or Fraction seed
+                                  (1.5, 3), (1.0, 2.0), ("1", "2"), (F(1, 1), 2)])
 def test_invalid_seeds_rejected(seed):
     with pytest.raises(InvalidSeedError):
         perrin_energy(seed)
     with pytest.raises(InvalidSeedError):
         perrin_triplet(seed)
+
+
+def test_a_bool_seed_index_is_an_int():
+    assert perrin_energy((True, 2)) == perrin_energy((1, 2)) == 28
 
 
 def test_triplet_28():

@@ -383,6 +383,40 @@ def test_energy_level_validation():
     assert level.parity is Parity.SAME
 
 
+@pytest.mark.parametrize("states, message", [
+    (((0, 5),), "state indices must be positive integers, got (0, 5)"),
+    (((1, 5), (0, 5)), "state indices must be positive integers, got (0, 5)"),
+    (((-1, 5),), "state indices must be positive integers, got (-1, 5)"),
+    (((1, -5),), "state indices must be positive integers, got (1, -5)"),
+    ((("1", 5),), "state indices must be positive integers, got (1, 5)"),
+    (((1, "5"),), "state indices must be positive integers, got (1, 5)"),
+    (((1.0, 4.0),), "state indices must be positive integers, got (1.0, 4.0)"),
+    (((1.0, 5.0),), "state indices must be positive integers, got (1.0, 5.0)"),
+    (((1, 4),), "state (1, 4) does not have energy 28"),
+    (((1, 5), (2, 5)), "state (2, 5) does not have energy 28"),
+    (((2, 4), (1, 5)), "states must be strictly ascending in n1"),
+    (((1, 5), (1, 5)), "states must be strictly ascending in n1"),
+])
+def test_energy_level_names_the_first_failed_check(states, message):
+    # the per-state test is one expression; a state that fails it takes the
+    # checks one at a time, with the messages they had before
+    with pytest.raises(ValueError) as raised:
+        EnergyLevel(28, states)
+    assert str(raised.value) == message
+
+
+def test_energy_level_takes_bool_indices_as_ints():
+    assert EnergyLevel(28, ((True, 5),)).degeneracy == 1
+
+
+def test_iter_levels_equals_level_of_up_to_2700(spectrum_2700):
+    levels = list(spectrum_2700.iter_levels())
+    assert [level.energy for level in levels] == list(spectrum_2700)
+    for level in levels:
+        assert level == level_of(level.energy)
+        assert all(type(s) is State and len(s) == 2 for s in level.states)
+
+
 @given(st.integers(1, 3000), st.integers(1, 3000))
 def test_realized_energies_never_2_mod_4(n1, n2):
     assert energy_of((n1, n2)) % 4 != 2
@@ -449,6 +483,33 @@ def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
             for i, u in enumerate(row):
                 for v in row[:i]:
                     assert all(_mul(v, unit) != u for unit in _UNITS), (p, e, u, v)
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 4), (5, 2), (7, 3), (13, 1)])
+def test_prime_rows_are_tuples(p, k):
+    rows = _prime_rows(p, k)
+    assert type(rows) is tuple
+    assert all(type(row) is tuple and all(type(u) is tuple for u in row) for row in rows)
+    assert _prime_rows(p, k) is rows  # kept, and no caller can change it
+
+
+# 7932652 = 4*7*13*19*31*37 shares 7 and 13 with 91 = 7*13 and 7**4 * 13**2,
+# and 7 with 1267 = 7*181
+SHARED_SPLIT_PRIMES = [7932652, 7**4 * 13**2, 1267, 91]
+
+
+@pytest.mark.parametrize("order", [SHARED_SPLIT_PRIMES, SHARED_SPLIT_PRIMES[::-1]])
+def test_kept_rows_solve_as_cold_rows_do(order):
+    cold = {}
+    for energy in order:
+        spectrum_module._prime_rows.cache_clear()
+        spectrum_module._rep_tuples.cache_clear()
+        cold[energy] = spectrum_module._rep_tuples(energy)
+    spectrum_module._prime_rows.cache_clear()
+    for energy in order:
+        spectrum_module._rep_tuples.cache_clear()
+        assert spectrum_module._rep_tuples(energy) == cold[energy], energy
+    assert spectrum_module._prime_rows.cache_info().hits > 0
 
 
 def _exponent_rows(n):
