@@ -31,9 +31,11 @@ the classification work on those.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .spectrum import State, StateLike, _rep_tuples, energy_of
@@ -118,41 +120,40 @@ class BrahmaguptaRep:
     @classmethod
     def _of_doubled(cls, v1: int, v2: int, a: int, b: int, energy: int) -> "BrahmaguptaRep":
         """The rep (v1, v2, a/2, b/2) of `energy`, built from the integers
-        with the constructor's checks and no `Fraction`.
+        with the constructor's checks and no `Fraction`: `_all_of_doubled`
+        of the one tuple."""
+        return cls._all_of_doubled(((v1, v2, a, b),), energy)[0]
 
-        The fast path is one expression: v1, v2, a, b >= 1 and the product
-        of forms an int equal to 4*E (a `Fraction` or float among the four
-        makes a product of its own type).  Any other input, such as the
-        constructor's Fractions a = 2*v3, b = 2*v4, takes the checks one at
-        a time on exact rationals, which name what failed, and the rep
-        stores the four as ints.  The slots are set through their member
-        descriptors, past the frozen `__setattr__`.
+    @classmethod
+    def _all_of_doubled(
+        cls, tuples: "Iterable[tuple[int, int, int, int]]", energy: int
+    ) -> "list[BrahmaguptaRep]":
+        """The rep (v1, v2, a/2, b/2) of `energy` for each (v1, v2, a, b) of
+        `tuples`, in order, each checked as the constructor checks it.
+
+        The fast path is one expression per tuple: v1, v2, a, b >= 1 and the
+        product of forms an int equal to 4*E (a `Fraction` or float among
+        the four makes a product of its own type).  A tuple that fails it,
+        such as the constructor's Fractions a = 2*v3, b = 2*v4, takes the
+        checks one at a time on exact rationals, which name what failed, and
+        the rep stores the four as ints.  The slots are set through their
+        member descriptors, past the frozen `__setattr__`.
         """
-        p = (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b)
-        if not (1 <= v1 and 1 <= v2 and 1 <= a and 1 <= b and type(p) is int and p == 4 * energy):
-            # exact rationals, so a float checks as the integer it equals and
-            # no product rounds; v3 is a half-integer exactly when 2*v3 has
-            # denominator 1, as an int has
-            v1, v2 = Fraction(v1), Fraction(v2)
-            if v1 < 1 or v2 < 1 or v1.denominator != 1 or v2.denominator != 1:
-                raise ValueError("v1 and v2 must be positive integers")
-            for n in (a, b):
-                if n < 1 or n.denominator != 1:
-                    raise ValueError(
-                        f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}"
-                    )
-            v1, v2, a, b = v1.numerator, v2.numerator, a.numerator, b.numerator
-            if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
-                raise ValueError(
-                    f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}"
-                )
-        rep = object.__new__(cls)
-        _SET_V1(rep, v1)
-        _SET_V2(rep, v2)
-        _SET_A(rep, a)
-        _SET_B(rep, b)
-        _SET_ENERGY(rep, energy)
-        return rep
+        four_e = 4 * energy
+        new = object.__new__
+        reps = []
+        for v1, v2, a, b in tuples:
+            p = (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b)
+            if not (1 <= v1 and 1 <= v2 and 1 <= a and 1 <= b and type(p) is int and p == four_e):
+                v1, v2, a, b = _checked_ints(v1, v2, a, b, energy)
+            rep = new(cls)
+            _SET_V1(rep, v1)
+            _SET_V2(rep, v2)
+            _SET_A(rep, a)
+            _SET_B(rep, b)
+            _SET_ENERGY(rep, energy)
+            reps.append(rep)
+        return reps
 
     def __reduce__(self):
         return (BrahmaguptaRep, (self.v1, self.v2, self.v3, self.v4, self.energy))
@@ -172,6 +173,25 @@ class BrahmaguptaRep:
 
 _SET_V1, _SET_V2, _SET_A, _SET_B, _SET_ENERGY = (
     vars(BrahmaguptaRep)[name].__set__ for name in BrahmaguptaRep.__slots__)
+
+
+def _checked_ints(v1, v2, a, b, energy: int) -> "tuple[int, int, int, int]":
+    """The checks of a rep one at a time, on exact rationals, so a float
+    checks as the integer it equals and no product rounds: v1 and v2
+    positive integers, a = 2*v3 and b = 2*v4 positive integers (v3 is a
+    half-integer exactly when 2*v3 has denominator 1, as an int has), and
+    the product of forms 4*E.  Returns the four as ints; raises ValueError
+    naming what failed."""
+    v1, v2 = Fraction(v1), Fraction(v2)
+    if v1 < 1 or v2 < 1 or v1.denominator != 1 or v2.denominator != 1:
+        raise ValueError("v1 and v2 must be positive integers")
+    for n in (a, b):
+        if n < 1 or n.denominator != 1:
+            raise ValueError(f"v3 and v4 must be positive half-integers, got {Fraction(n, 2)}")
+    v1, v2, a, b = v1.numerator, v2.numerator, a.numerator, b.numerator
+    if (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b) != 4 * energy:
+        raise ValueError(f"({v1},{v2},{Fraction(a, 2)},{Fraction(b, 2)}) does not factor {energy}")
+    return v1, v2, a, b
 
 
 def classify_rep(rep: BrahmaguptaRep) -> RepClass:
@@ -267,22 +287,34 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     solved independently (`spectrum._rep_tuples`, the one solver).  Ordered
     tuples are distinct representations: (1,2,2,1) and (2,1,1,2) both count.
 
-    The solved tuples of the last energy solved are kept, in either mode:
-    a strict search right after a factorization search of the same energy,
-    as `doublet_coverage` makes for every doublet level, filters them
-    instead of solving again, and so does a search right after `level_of`
-    of the same energy, which reads its states off them.  Only one energy
-    is kept, so memory stays bounded.  Strict mode keeps only the
-    representations that pass `is_strict`.  Every call returns new reps in
-    a new list.  Returns [] when nothing represents the energy, as for every
-    E < 4, which the solve answers with no tuple, and raises ValueError, as
-    the solve does, for an energy that is not an int.
+    The reps of the last energy searched are kept, in either mode, built
+    in one batch (`_reps`) from the tuples of the one solve: a strict
+    search right after a factorization search of the same energy, as
+    `doublet_coverage` makes for every doublet level, filters them with
+    `_strict` and builds nothing, and a search right after `level_of` of
+    the same energy, which reads its states off the same solve, does not
+    solve again.  Only one energy is kept, so memory stays bounded.  Strict
+    mode keeps only the representations that pass `is_strict`.  Every call
+    returns a new list; the reps in it may be shared with other calls,
+    which is safe since a rep is frozen.  Returns [] when nothing
+    represents the energy, as for every E < 4, which the solve answers
+    with no tuple, and raises ValueError, as the solve does, for an energy
+    that is not an int.
     """
-    tuples = _rep_tuples(energy)
+    reps = _reps(energy)
     if mode is RepMode.STRICT:
-        tuples = [t for t in tuples if _strict(*t)]
-    of_doubled = BrahmaguptaRep._of_doubled
-    return [of_doubled(v1, v2, a, b, energy) for v1, v2, a, b in tuples]
+        return [r for r in reps if _strict(r.v1, r.v2, r.a, r.b)]
+    return list(reps)
+
+
+@lru_cache(maxsize=1, typed=True)
+def _reps(energy: int) -> "tuple[BrahmaguptaRep, ...]":
+    """Every rep of `energy`, as `rep_search` returns them in factorization
+    mode: the tuples of `_rep_tuples`, built in one batch
+    (`BrahmaguptaRep._all_of_doubled`).  Kept for the last energy asked,
+    keyed as `_rep_tuples` is, so a float or a Fraction equal to the energy
+    kept reaches the solve's check."""
+    return tuple(BrahmaguptaRep._all_of_doubled(_rep_tuples(energy), energy))
 
 
 def inverse_rep(

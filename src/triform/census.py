@@ -141,13 +141,12 @@ def _tally(by_g: "list[int]", counts: bytearray) -> None:
 
 
 def check_perrin_conjecture(spectrum: Spectrum) -> "list[int]":
-    """Energies of same-parity 3-fold levels with no matching seed."""
-    exceptions = []
-    for level in spectrum.iter_levels():
-        if level.parity is Parity.SAME and level.degeneracy == 3:
-            if match_perrin(level) is None:
-                exceptions.append(level.energy)
-    return exceptions
+    """Energies of same-parity 3-fold levels with no matching seed.
+
+    Walks only that class (`Spectrum.iter_levels`), so no other level is
+    built."""
+    return [level.energy for level in spectrum.iter_levels(Parity.SAME, 3)
+            if match_perrin(level) is None]
 
 
 def check_brahmagupta_conjecture(
@@ -155,17 +154,15 @@ def check_brahmagupta_conjecture(
 ) -> "list[int]":
     """Energies of opposite-parity 2-fold levels with no representation in `mode`.
 
-    Runs `rep_search`, the Eisenstein solve of `spectrum._rep_tuples`, once
-    per doublet level.  Per-level detail, including whether an all-integer
-    representation exists, comes from `doublet_coverage`, which walks the
-    range again and solves each doublet level a second time.
+    Walks only the doublet levels (`Spectrum.iter_levels`), so no other
+    level is built, and runs `rep_search`, the Eisenstein solve of
+    `spectrum._rep_tuples`, once per doublet level.  Per-level detail,
+    including whether an all-integer representation exists, comes from
+    `doublet_coverage`, which walks the doublet levels again and searches
+    each one a second time.
     """
-    exceptions = []
-    for level in spectrum.iter_levels():
-        if level.parity is Parity.OPPOSITE and level.degeneracy == 2:
-            if not rep_search(level.energy, mode):
-                exceptions.append(level.energy)
-    return exceptions
+    return [level.energy for level in spectrum.iter_levels(Parity.OPPOSITE, 2)
+            if not rep_search(level.energy, mode)]
 
 
 @dataclass(frozen=True)
@@ -179,23 +176,21 @@ class DoubletCoverage:
 
 
 def doublet_coverage(spectrum: Spectrum) -> "list[DoubletCoverage]":
-    """Per-level representation tallies, ascending in energy.
+    """Per-level representation tallies, ascending in energy, one per
+    doublet level: only those levels are walked (`Spectrum.iter_levels`).
 
     `all_integer_count` probes which doublet levels admit an all-integer
     tuple; the first level with zero is the half-integer threshold.  A rep
     is all-integer when its doubled coordinates a and b are both even
     (`brahmagupta.classify_rep`), tested inline.  The strict search filters
-    the tuples the factorization search just solved.
+    the reps the factorization search just built, and builds none.
     """
     out = []
-    for level in spectrum.iter_levels():
-        if level.parity is Parity.OPPOSITE and level.degeneracy == 2:
-            reps = rep_search(level.energy, RepMode.FACTORIZATION)
-            strict = rep_search(level.energy, RepMode.STRICT)
-            all_integer = 0
-            for r in reps:
-                all_integer += (r.a | r.b) & 1 == 0
-            out.append(
-                DoubletCoverage(level.energy, len(reps), all_integer, len(strict))
-            )
+    for level in spectrum.iter_levels(Parity.OPPOSITE, 2):
+        reps = rep_search(level.energy, RepMode.FACTORIZATION)
+        strict = rep_search(level.energy, RepMode.STRICT)
+        all_integer = 0
+        for r in reps:
+            all_integer += (r.a | r.b) & 1 == 0
+        out.append(DoubletCoverage(level.energy, len(reps), all_integer, len(strict)))
     return out

@@ -234,10 +234,31 @@ class Spectrum:
             raise KeyError(energy)
         return level
 
-    def iter_levels(self) -> Iterator[EnergyLevel]:
-        """All levels in ascending energy order."""
-        for energy, states in self.raw_items():
-            yield _level(energy, states)
+    def iter_levels(
+        self, parity: Optional[Parity] = None, degeneracy: Optional[int] = None
+    ) -> Iterator[EnergyLevel]:
+        """All levels in ascending energy order, or only those of one class.
+
+        With `parity`, `degeneracy` or both given, each (energy, states)
+        pair of `raw_items` is tested first, on the energy's residue
+        (`parity_of_energy`: E = 0 (mod 4) is SAME, odd E is OPPOSITE) and
+        the number of states, and only a matching level is built and
+        checked as an `EnergyLevel`.  Raises ValueError, before walking
+        anything, for a parity that is not a `Parity` or a degeneracy that
+        is not an int >= 1.
+        """
+        if parity is not None and not isinstance(parity, Parity):
+            raise ValueError(f"parity must be a Parity, got {parity!r}")
+        if degeneracy is not None and not (isinstance(degeneracy, int) and degeneracy >= 1):
+            raise ValueError(f"degeneracy must be an int >= 1, got {degeneracy!r}")
+        items = self.raw_items()
+        if parity is not None or degeneracy is not None:
+            # a realized energy is of the parity exactly when energy & mask == want
+            mask, want = {None: (0, 0), Parity.SAME: (3, 0), Parity.OPPOSITE: (1, 1)}[parity]
+            items = ((energy, states) for energy, states in items
+                     if energy & mask == want
+                     and (degeneracy is None or len(states) == degeneracy))
+        return itertools.starmap(_level, items)
 
     def degeneracy_of(self, energy: object) -> int:
         """Number of states at `energy`, 0 when the energy is not realized."""

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from triform import enumerate_spectrum, spectrum
+from triform import brahmagupta, enumerate_spectrum, spectrum
 
 import oracles
 
@@ -14,10 +14,12 @@ import oracles
 def cold_rep_cache():
     # the one solver keeps the last energy's solved tuples, which level_of
     # and rep_search both read, and the prime-power rows of every energy
-    # solved; a test that counts solver, factorization or Cornacchia calls,
-    # or monkeypatches any of them, must not read a cached energy or row.
+    # solved, and rep_search keeps the last energy's reps; a test that
+    # counts solver, factorization, Cornacchia or rep-build calls, or
+    # monkeypatches any of them, must not read a cached energy, row or rep.
     spectrum._rep_tuples.cache_clear()
     spectrum._prime_rows.cache_clear()
+    brahmagupta._reps.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -446,6 +446,89 @@ def test_strict_search_after_a_factorization_search_reuses_its_solve(split_prime
     assert split_prime_calls == []
 
 
+BATCH_ENERGIES = [91, 1415232, 7932652, 7**4 * 13**2]
+
+
+@pytest.mark.parametrize("energy", BATCH_ENERGIES)
+def test_batched_reps_equal_the_reps_built_one_at_a_time(energy):
+    tuples = spectrum_module._rep_tuples(energy)
+    batch = BrahmaguptaRep._all_of_doubled(tuples, energy)
+    assert batch == [BrahmaguptaRep._of_doubled(*t, energy) for t in tuples]
+    # the public constructor checks each on Fractions, the slow path
+    assert batch == [BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy) for v1, v2, a, b in tuples]
+    assert [(r.v1, r.v2, r.a, r.b) for r in batch] == list(tuples)
+    assert all(type(n) is int for r in batch for n in (r.v1, r.v2, r.a, r.b))
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 2, 4, 2),  # a zero index
+    (1, 2, 0, 2),
+    (1, 2, 4, 3),  # b off by one: the product of forms is 7 * 57, not 4*91
+    (1, 2, 5, 1),  # 7 * 76 = 4*133
+    (1, 2, F(7, 2), 2),  # a = 2*v3 not an integer
+    (1, 2, F(4), F(2)),  # integral Fractions take the slow path and build
+])
+def test_a_batch_checks_each_tuple_as_the_constructor_does(bad):
+    good = (1, 2, 4, 2)
+    try:
+        expected = BrahmaguptaRep._of_doubled(*bad, 91)
+    except ValueError as raised:
+        with pytest.raises(ValueError) as batched:
+            BrahmaguptaRep._all_of_doubled([good, bad, good], 91)
+        assert str(batched.value) == str(raised)
+        with pytest.raises(ValueError) as public:
+            BrahmaguptaRep(bad[0], bad[1], F(bad[2], 2), F(bad[3], 2), 91)
+        assert str(batched.value) == str(public.value)
+    else:
+        batch = BrahmaguptaRep._all_of_doubled([good, bad, good], 91)
+        assert batch == [expected] * 3 and type(batch[1].a) is int
+
+
+def test_a_batch_builds_a_bool_index():
+    [rep] = BrahmaguptaRep._all_of_doubled([(True, 2, 4, 2)], 91)
+    assert rep == BrahmaguptaRep._of_doubled(True, 2, 4, 2, 91) == BrahmaguptaRep(1, 2, 2, 1, 91)
+
+
+def cold_search(energy, mode):
+    """`rep_search` with neither the solve nor the reps of any energy kept."""
+    brahmagupta_module._reps.cache_clear()
+    spectrum_module._rep_tuples.cache_clear()
+    return rep_search(energy, mode)
+
+
+@pytest.mark.parametrize("energy", BATCH_ENERGIES)
+@pytest.mark.parametrize("first", list(RepMode))
+def test_a_search_after_another_of_the_same_energy_equals_a_cold_one(energy, first):
+    for mode in RepMode:
+        cold = cold_search(energy, mode)
+        cold_search(energy, first)
+        assert rep_search(energy, mode) == cold
+
+
+@pytest.fixture
+def reps_built(monkeypatch):
+    """The number of reps built from here on, in batches or one at a time."""
+    built = [0]
+    batch = BrahmaguptaRep._all_of_doubled.__func__
+
+    def counted(cls, tuples, energy):
+        reps = batch(cls, tuples, energy)
+        built[0] += len(reps)
+        return reps
+
+    monkeypatch.setattr(BrahmaguptaRep, "_all_of_doubled", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("energy", BATCH_ENERGIES)
+def test_a_strict_search_after_a_factorization_search_builds_no_rep(reps_built, energy):
+    reps = rep_search(energy)
+    assert reps_built[0] == len(reps)
+    strict = rep_search(energy, RepMode.STRICT)
+    assert strict and reps_built[0] == len(reps)
+    assert all(any(s is r for r in reps) for s in strict)  # the same, frozen reps
+
+
 @pytest.mark.parametrize(
     "rep, cls",
     [

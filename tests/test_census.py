@@ -225,6 +225,17 @@ def test_perrin_conjecture_small():
     assert check_perrin_conjecture(enumerate_spectrum(27)) == []  # vacuous
 
 
+def test_perrin_conjecture_reads_planted_buckets():
+    # 196 holds the triplet of seed (3, 5) and one more state, (7, 7): with
+    # (5, 11) dropped it is a 3-fold level no seed reaches; 28 with (2, 4)
+    # dropped is 2-fold and not checked
+    buckets = {e: list(states) for e, states in enumerate_spectrum(400).raw_items()}
+    buckets[196].remove((5, 11))
+    buckets[28].remove((2, 4))
+    spectrum = Spectrum(400, buckets)
+    assert check_perrin_conjecture(spectrum) == [196]
+
+
 def test_brahmagupta_conjecture_2700(spectrum_2700):
     assert check_brahmagupta_conjecture(spectrum_2700) == []
     assert check_brahmagupta_conjecture(spectrum_2700, RepMode.STRICT) == []

@@ -437,6 +437,22 @@ def test_verify_prints_counterexamples(capsys, monkeypatch, fmt):
     assert out == VERIFY_300_WITH_COUNTEREXAMPLES[fmt]
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_fails_when_the_level_walk_misses_a_doublet(capsys, monkeypatch, fmt):
+    # the census counts 6 doublet levels up to 300 off its count windows;
+    # a coverage walk that drops one must not pass as all covered
+    coverage = cli.doublet_coverage
+    monkeypatch.setattr(cli, "doublet_coverage", lambda spectrum: coverage(spectrum)[1:])
+    code, out, err = run_cli(capsys, "verify", "--emax", "300", "--format", fmt)
+    assert code == 1
+    assert err == "error: the level walk found 5 doublet levels, the census counts 6\n"
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["brahmagupta"]["counterexamples"] == []
+    else:
+        assert out.endswith("\nRESULT: the level walk missed a doublet level\n")
+
+
 def test_verify_usage_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "--emax", "3")
     assert code == 2

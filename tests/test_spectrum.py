@@ -417,6 +417,69 @@ def test_iter_levels_equals_level_of_up_to_2700(spectrum_2700):
         assert all(type(s) is State and len(s) == 2 for s in level.states)
 
 
+_LEVEL_CLASSES = ([(parity, g) for parity in Parity for g in range(1, 7)]
+                  + [(parity, None) for parity in Parity] + [(None, g) for g in range(1, 7)])
+
+
+def _filtered_walk(spectrum, parity, degeneracy):
+    """The full level walk, filtered on the built levels."""
+    return [level for level in spectrum.iter_levels()
+            if parity in (None, level.parity) and degeneracy in (None, level.degeneracy)]
+
+
+@pytest.mark.parametrize("parity, degeneracy", _LEVEL_CLASSES)
+def test_class_walk_equals_the_filtered_full_walk(spectrum_2700, parity, degeneracy):
+    walked = list(spectrum_2700.iter_levels(parity, degeneracy))
+    assert walked == _filtered_walk(spectrum_2700, parity, degeneracy)
+    # the two conjecture classes, as the census table of 2700 counts them
+    assert len(walked) == {(Parity.OPPOSITE, 2): 109, (Parity.SAME, 3): 132}.get(
+        (parity, degeneracy), len(walked))
+
+
+@pytest.mark.parametrize("e_max", [4, 5, 7, 63, 64, 65, 127, 128, 129, 1000, 2999, 3000])
+def test_class_walk_across_small_windows(monkeypatch, e_max):
+    monkeypatch.setattr(spectrum_module, "_WINDOW", 64)
+    spectrum = enumerate_spectrum(e_max)
+    for parity, degeneracy in _LEVEL_CLASSES:
+        assert (list(spectrum.iter_levels(parity, degeneracy))
+                == _filtered_walk(spectrum, parity, degeneracy)), (parity, degeneracy)
+
+
+@pytest.mark.parametrize("e_max", [_WINDOW - 1, _WINDOW, _WINDOW + 1])
+def test_class_walk_at_the_window_edge(e_max):
+    # the class of each oracle level read off the relative parity of its
+    # first state, not off the energy
+    spectrum = enumerate_spectrum(e_max)
+    naive = sorted(oracles.naive_levels(e_max).items())
+    for parity, degeneracy in [(Parity.OPPOSITE, 2), (Parity.SAME, 3), (None, 1)]:
+        walked = [(lv.energy, lv.degeneracy) for lv in spectrum.iter_levels(parity, degeneracy)]
+        assert walked == [
+            (energy, len(states)) for energy, states in naive
+            if parity in (None, Parity.SAME if (states[0][0] - states[0][1]) % 2 == 0
+                          else Parity.OPPOSITE) and degeneracy in (None, len(states))
+        ]
+
+
+def test_class_walk_reads_explicit_buckets():
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    odd_3_fold = next(e for e, states in sorted(buckets.items()) if e % 2 and len(states) == 3)
+    del buckets[odd_3_fold][0]  # planted: a 3-fold level left with two states
+    del buckets[91][0]  # a doublet left with one state
+    spectrum = Spectrum(3000, buckets)
+    doublets = [lv.energy for lv in spectrum.iter_levels(Parity.OPPOSITE, 2)]
+    assert odd_3_fold in doublets and 91 not in doublets
+    assert doublets == sorted(e for e, states in buckets.items() if e % 2 and len(states) == 2)
+    assert spectrum[91].degeneracy == 2  # `[]` solves; the buckets changed only the walk
+
+
+@pytest.mark.parametrize("parity, degeneracy", [
+    (None, 0), (None, -1), (None, 2.0), (Parity.SAME, "3"), ("opposite", 2), ("same", None),
+])
+def test_class_walk_rejects_an_invalid_class(parity, degeneracy):
+    with pytest.raises(ValueError):
+        enumerate_spectrum(300).iter_levels(parity, degeneracy)
+
+
 @given(st.integers(1, 3000), st.integers(1, 3000))
 def test_realized_energies_never_2_mod_4(n1, n2):
     assert energy_of((n1, n2)) % 4 != 2
