@@ -115,14 +115,7 @@ class BrahmaguptaRep:
     energy: int
 
     def __new__(cls, v1: int, v2: int, v3: Rational, v4: Rational, energy: int):
-        return cls._of_doubled(v1, v2, 2 * Fraction(v3), 2 * Fraction(v4), energy)
-
-    @classmethod
-    def _of_doubled(cls, v1: int, v2: int, a: int, b: int, energy: int) -> "BrahmaguptaRep":
-        """The rep (v1, v2, a/2, b/2) of `energy`, built from the integers
-        with the constructor's checks and no `Fraction`: `_all_of_doubled`
-        of the one tuple."""
-        return cls._all_of_doubled(((v1, v2, a, b),), energy)[0]
+        return cls._all_of_doubled(((v1, v2, 2 * Fraction(v3), 2 * Fraction(v4)),), energy)[0]
 
     @classmethod
     def _all_of_doubled(
@@ -298,9 +291,12 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     returns a new list; the reps in it may be shared with other calls,
     which is safe since a rep is frozen.  Returns [] when nothing
     represents the energy, as for every E < 4, which the solve answers
-    with no tuple, and raises ValueError, as the solve does, for an energy
-    that is not an int.
+    with no tuple.  Raises ValueError for a mode that is not a `RepMode`,
+    before solving anything, and, as the solve does, for an energy that is
+    not an int.
     """
+    if not isinstance(mode, RepMode):
+        raise ValueError(f"mode must be a RepMode, got {mode!r}")
     reps = _reps(energy)
     if mode is RepMode.STRICT:
         return [r for r in reps if _strict(r.v1, r.v2, r.a, r.b)]

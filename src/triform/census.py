@@ -159,8 +159,11 @@ def check_brahmagupta_conjecture(
     `spectrum._rep_tuples`, once per doublet level.  Per-level detail,
     including whether an all-integer representation exists, comes from
     `doublet_coverage`, which walks the doublet levels again and searches
-    each one a second time.
+    each one a second time.  Raises ValueError, before walking anything,
+    for a mode that is not a `RepMode`.
     """
+    if not isinstance(mode, RepMode):
+        raise ValueError(f"mode must be a RepMode, got {mode!r}")
     return [level.energy for level in spectrum.iter_levels(Parity.OPPOSITE, 2)
             if not rep_search(level.energy, mode)]
 

@@ -24,7 +24,7 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -114,21 +114,22 @@ class EnergyLevel:
 class Spectrum:
     """The states of every energy E <= e_max, read by walks and by counts.
 
-    Nothing is enumerated at construction.  Three windowed walks read the
-    range, each afresh on every call: `count_windows` yields the state
-    count of every energy, one window of `_COUNT_WINDOW` energies at a time;
-    `raw_items` (or `iter_levels`) yields the states of every level, one
-    window of `_WINDOW` energies at a time; and `text_levels` yields each
-    level's states written as one string, one window of `_TEXT_WINDOW`
-    energies at a time.  Each holds one window and never the whole range,
-    so memory stays flat as e_max grows.
+    Nothing is enumerated at construction.  Two stripes read the range,
+    each afresh on every call and one window at a time: the count stripe
+    (`count_windows`) yields the state count of every energy, one window
+    of `_COUNT_WINDOW` energies at a time, and the level stripe (`_levels`)
+    yields the states of every level, one window of `_LEVEL_WINDOW`
+    energies at a time.  `raw_items` and `iter_levels` read the level
+    stripe as index pairs, and `text_levels` as text.  Each holds one
+    window and never the whole range, so memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
     joined from the count windows on first use and cached, or built at
     construction from explicit buckets: iteration (the realized energies,
-    ascending), `len`, `state_count`, `degeneracy_of` and `in` read it.  `[]` solves its one energy (`level_of`).  The table
-    is a pure function of e_max, so concurrent readers that race to build
-    it build the same value and stay safe.
+    ascending), `len`, `state_count`, `degeneracy_of` and `in` read it.
+    `[]` solves its one energy (`level_of`).  The table is a pure function
+    of e_max, so concurrent readers that race to build it build the same
+    value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -140,8 +141,8 @@ class Spectrum:
         # map energy -> list of (n1, n2) already ascending in n1; the count
         # table is then built here, off their lengths (a count above 255
         # raises ValueError, an energy outside 0..e_max is left out), and
-        # `raw_items` and `text_levels` read the buckets in place of their
-        # walks.  `[]` never reads them.
+        # the level walk (`_levels`) reads the buckets in place of its
+        # stripe.  `[]` never reads them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
@@ -239,26 +240,24 @@ class Spectrum:
     ) -> Iterator[EnergyLevel]:
         """All levels in ascending energy order, or only those of one class.
 
-        With `parity`, `degeneracy` or both given, each (energy, states)
-        pair of `raw_items` is tested first, on the energy's residue
-        (`parity_of_energy`: E = 0 (mod 4) is SAME, odd E is OPPOSITE) and
-        the number of states, and only a matching level is built and
-        checked as an `EnergyLevel`.  Raises ValueError, before walking
-        anything, for a parity that is not a `Parity` or a degeneracy that
-        is not an int >= 1.
+        The level walk of index pairs (`_pair_levels`).  With `parity`,
+        `degeneracy` or both given, each level of the walk is tested first,
+        on the energy's residue (`parity_of_energy`: E = 0 (mod 4) is SAME,
+        odd E is OPPOSITE) and the walk's own state count, and only a
+        matching level is paired up, built and checked as an `EnergyLevel`.
+        Raises ValueError, before walking anything, for a parity that is not
+        a `Parity` or a degeneracy that is not an int >= 1, and, as the walk
+        does, for a level of more than 255 states.
         """
         if parity is not None and not isinstance(parity, Parity):
             raise ValueError(f"parity must be a Parity, got {parity!r}")
         if degeneracy is not None and not (isinstance(degeneracy, int) and degeneracy >= 1):
             raise ValueError(f"degeneracy must be an int >= 1, got {degeneracy!r}")
-        items = self.raw_items()
-        if parity is not None or degeneracy is not None:
-            # a realized energy is of the parity exactly when energy & mask == want
-            mask, want = {None: (0, 0), Parity.SAME: (3, 0), Parity.OPPOSITE: (1, 1)}[parity]
-            items = ((energy, states) for energy, states in items
-                     if energy & mask == want
-                     and (degeneracy is None or len(states) == degeneracy))
-        return itertools.starmap(_level, items)
+        # a realized energy is of the parity exactly when energy & mask == want
+        mask, want = {None: (0, 0), Parity.SAME: (3, 0), Parity.OPPOSITE: (1, 1)}[parity]
+        return (_level(energy, zip(flat[0::2], flat[1::2]))
+                for energy, count, flat in self._pair_levels()
+                if energy & mask == want and (degeneracy is None or count == degeneracy))
 
     def degeneracy_of(self, energy: object) -> int:
         """Number of states at `energy`, 0 when the energy is not realized."""
@@ -269,86 +268,98 @@ class Spectrum:
     def raw_items(self) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
         """(energy, states-as-int-pairs) in ascending energy, no materialization.
 
-        Each call walks the range afresh, one window of `_WINDOW` energies at
-        a time (`_window_items`), and keeps only the current window's states:
-        nothing is cached, so memory stays flat as e_max grows.  Explicit
-        buckets given to the constructor are read instead.  The lists must
-        not be mutated.
+        The level walk of index pairs (`_pair_levels`): each call walks the
+        range afresh, or reads the explicit buckets given to the
+        constructor, and keeps nothing, so memory stays flat as e_max grows.
+        Each list is fresh, and the caller may change it.  Raises ValueError,
+        as the walk does, for a level of more than 255 states.
         """
-        if self._buckets is not None:
-            buckets = self._buckets
-            for energy in self:
-                yield energy, buckets[energy]
-            return
-        for lo in range(0, self._e_max + 1, _WINDOW):
-            yield from _window_items(lo, min(lo + _WINDOW, self._e_max + 1))
+        return ((energy, list(zip(flat[0::2], flat[1::2])))
+                for energy, _, flat in self._pair_levels())
 
     def text_levels(self, first: str, second: str, sep: str) -> "Iterator[tuple[int, int, str]]":
         """(energy, degeneracy, text) for every level in ascending energy,
         where text writes each state (n1, n2) as first.format(n1) +
         second.format(n2), ascending in n1, joined by `sep`.
 
-        Each fragment is formatted once per index, into two tables, and the
-        stripe of each window (`_stripes`) appends a state's two fragments
-        to its energy's string as it reaches the state, so no state tuple,
-        level list or per-state format is made.  Like `raw_items`, each call
-        walks the range afresh, one window of `_TEXT_WINDOW` energies at a
-        time, and explicit buckets given to the constructor are read instead.
-        The degeneracies are counted one byte per energy, so a level of more
+        The level walk (`_levels`) of the fragments, each formatted once per
+        index into two tables, so no state tuple, level list or per-state
+        format is made.  Raises ValueError, as the walk does, for a level of
+        more than 255 states.
+        """
+        e_max = self._e_max
+        return self._levels([first.format(n1) for n1 in range(math.isqrt(e_max // 3) + 1)],
+                            [second.format(n2) for n2 in range(math.isqrt(e_max) + 1)], sep)
+
+    def _pair_levels(self) -> "Iterator[tuple[int, int, tuple[int, ...]]]":
+        """The level walk (`_levels`) of the 1-tuples (n1,) and (n2,) with no
+        separator: each level's states come out as one flat tuple
+        (n1, n2, n1', n2', ...), which zip(flat[0::2], flat[1::2]) pairs
+        back up.  One table serves both indices."""
+        ones = [(n,) for n in range(math.isqrt(self._e_max) + 1)]
+        return self._levels(ones, ones, ())
+
+    def _levels(self, firsts: list, seconds: list, sep: "Union[str, tuple]") -> "Iterator[tuple]":
+        """(energy, degeneracy, joined) for every level in ascending energy,
+        where joined is firsts[n1] + seconds[n2] for each state (n1, n2),
+        ascending in n1, concatenated with `sep` between states.  firsts
+        must reach n1 = isqrt(e_max // 3), and seconds n2 = isqrt(e_max).
+
+        The one level stripe: each call walks the range afresh, one window
+        of `_LEVEL_WINDOW` energies at a time, and the stripe of each window
+        (`_stripes`) appends a state's two pieces to its energy's entry as
+        it reaches the state, so each level comes out sorted by n1.
+        Explicit buckets given to the constructor are read instead.  The
+        degeneracies are counted one byte per energy, so a level of more
         than 255 states raises ValueError, as `count_windows` does; that
         takes an E near 10^12, which no walk of the whole range reaches.
         """
-        e_max = self._e_max
-        firsts = [first.format(n1) for n1 in range(math.isqrt(e_max // 3) + 1)]
-        seconds = [second.format(n2) for n2 in range(math.isqrt(e_max) + 1)]
         if self._buckets is not None:
-            buckets = self._buckets
             for energy in self:
-                states = buckets[energy]
-                yield energy, len(states), sep.join([firsts[n1] + seconds[n2]
-                                                     for n1, n2 in states])
+                (n1, n2), *rest = states = self._buckets[energy]
+                joined = firsts[n1] + seconds[n2]
+                for n1, n2 in rest:
+                    joined += sep + firsts[n1] + seconds[n2]
+                yield energy, len(states), joined
             return
+        end = self._e_max + 1
         squares = [n2 * n2 for n2 in range(len(seconds))]
-        for lo in range(0, e_max + 1, _TEXT_WINDOW):
-            hi = min(lo + _TEXT_WINDOW, e_max + 1)
-            texts: "list[Optional[str]]" = [None] * (hi - lo)
+        for lo in range(0, end, _LEVEL_WINDOW):
+            hi = min(lo + _LEVEL_WINDOW, end)
+            entries: list = [None] * (hi - lo)
             counts = bytearray(hi - lo)
             for n1, offset, start, stop in _stripes(lo, hi):
                 head = firsts[n1]
-                joined = sep + head
+                joint = sep + head
                 for square, tail in zip(squares[start:stop], seconds[start:stop]):
                     at = offset + square
                     if counts[at]:
-                        texts[at] += joined + tail
+                        entries[at] += joint + tail
                     else:
-                        texts[at] = head + tail
+                        entries[at] = head + tail
                     counts[at] += 1
-            yield from itertools.compress(zip(range(lo, hi), counts, texts), counts)
+            yield from itertools.compress(zip(range(lo, hi), counts, entries), counts)
 
     def __repr__(self) -> str:
         return f"Spectrum(e_max={self._e_max})"
 
 
-def _level(energy: int, states: "list[tuple[int, int]]") -> EnergyLevel:
+def _level(energy: int, states: "Iterable[tuple[int, int]]") -> EnergyLevel:
     # tuple.__new__ makes each State from its pair without the Python-level
     # State.__new__; EnergyLevel checks the states
     new = tuple.__new__
     return EnergyLevel(energy, tuple([new(State, s) for s in states]))
 
 
-# Energies per window of the range walk `Spectrum.raw_items`: large enough
+# Energies per window of the level stripe `Spectrum._levels`: large enough
 # that the per-n1 set-up is a small share of a window, small enough that
-# one window's states take a few MB.
-_WINDOW = 1 << 16
-
-# Energies per window of `Spectrum.text_levels`, half of `_WINDOW`.  A JSON
-# state is about 47 characters, more than its tuple: at _WINDOW, the peak
-# RSS of `spectrum --emax 300000 --format json` run after other work in
-# the same process was 0.3 MB above the tuple walk's, and at half of it
-# 1.8 MB below, no slower from --emax 10^6 to 3*10^7 (2-vCPU x86, Python
-# 3.11).  A quarter of _WINDOW was a fifth slower at 3*10^7, where the
-# per-n1 set-up starts to tell.
-_TEXT_WINDOW = 1 << 15
+# one window's states take a few MB.  A JSON state is about 47 characters,
+# more than its tuple: at 2^16, the peak RSS of `spectrum --emax 300000
+# --format json` run after other work in the same process was 0.3 MB above
+# the tuple walk's, and at 2^15 1.8 MB below, no slower from --emax 10^6 to
+# 3*10^7 (2-vCPU x86, Python 3.11).  2^14 was a fifth slower at 3*10^7,
+# where the per-n1 set-up starts to tell.
+_LEVEL_WINDOW = 1 << 15
 
 # Energies per window of `Spectrum.count_windows`: one byte each, so a
 # window is 1 MB and stays in cache while the stripe writes into it.  A
@@ -361,31 +372,13 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
     energies [lo, hi), ascending: the states in the window are (n1, n2) for
     n2 in range(first, stop), which may be empty, and (n1, n2) has the
     energy lo + offset + n2^2.  The one place the stripe bounds are worked
-    out: the count windows, the level walk, the text walk and the census
-    seed walk share it."""
+    out: the count stripe, the level stripe and the census seed walk share
+    it."""
     n1 = 1
     while (base := 3 * n1 * n1) + 1 < hi:
         first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
         yield n1, base - lo, first, math.isqrt(hi - 1 - base) + 1
         n1 += 1
-
-
-def _window_items(lo: int, hi: int) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
-    """(energy, states) for every realized energy in [lo, hi), ascending.
-
-    Stripes over n1, and for each n1 over the n2 whose energy falls in the
-    window (`_stripes`), so each level is built already sorted by n1.
-    """
-    slots: "list[Optional[list[tuple[int, int]]]]" = [None] * (hi - lo)
-    for n1, offset, first, stop in _stripes(lo, hi):
-        for n2 in range(first, stop):
-            at = offset + n2 * n2
-            states = slots[at]
-            if states is None:
-                slots[at] = [(n1, n2)]
-            else:
-                states.append((n1, n2))
-    return itertools.compress(zip(range(lo, hi), slots), slots)
 
 
 def enumerate_spectrum(e_max: int) -> Spectrum:

@@ -243,7 +243,7 @@ def test_the_doubled_entry_checks_as_the_constructor_does(args):
     with pytest.raises(ValueError) as public:
         BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy)
     with pytest.raises(ValueError) as doubled:
-        BrahmaguptaRep._of_doubled(*args)
+        BrahmaguptaRep._all_of_doubled([(v1, v2, a, b)], energy)
     assert str(doubled.value) == str(public.value)
     if v1 % 1 or v2 % 1:
         assert str(public.value) == "v1 and v2 must be positive integers"
@@ -285,6 +285,17 @@ def test_rep_search_91_factorization():
 
 def test_rep_search_91_strict():
     assert keys(rep_search(91, RepMode.STRICT)) == STRICT_91
+
+
+@pytest.mark.parametrize("mode", ["strict", None, RepMode])
+@pytest.mark.parametrize("energy", [91, 3])  # 3 has no rep
+def test_rep_search_rejects_an_unknown_mode(monkeypatch, mode, energy):
+    def no_solve(energy):
+        raise AssertionError("solved before the mode was checked")
+
+    monkeypatch.setattr(brahmagupta_module, "_reps", no_solve)
+    with pytest.raises(ValueError, match=f"mode must be a RepMode, got {mode!r}"):
+        rep_search(energy, mode)
 
 
 def _check_against_the_rational_doublet(rep):
@@ -453,7 +464,7 @@ BATCH_ENERGIES = [91, 1415232, 7932652, 7**4 * 13**2]
 def test_batched_reps_equal_the_reps_built_one_at_a_time(energy):
     tuples = spectrum_module._rep_tuples(energy)
     batch = BrahmaguptaRep._all_of_doubled(tuples, energy)
-    assert batch == [BrahmaguptaRep._of_doubled(*t, energy) for t in tuples]
+    assert batch == [BrahmaguptaRep._all_of_doubled([t], energy)[0] for t in tuples]
     # the public constructor checks each on Fractions, the slow path
     assert batch == [BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy) for v1, v2, a, b in tuples]
     assert [(r.v1, r.v2, r.a, r.b) for r in batch] == list(tuples)
@@ -471,7 +482,7 @@ def test_batched_reps_equal_the_reps_built_one_at_a_time(energy):
 def test_a_batch_checks_each_tuple_as_the_constructor_does(bad):
     good = (1, 2, 4, 2)
     try:
-        expected = BrahmaguptaRep._of_doubled(*bad, 91)
+        [expected] = BrahmaguptaRep._all_of_doubled([bad], 91)
     except ValueError as raised:
         with pytest.raises(ValueError) as batched:
             BrahmaguptaRep._all_of_doubled([good, bad, good], 91)
@@ -486,7 +497,7 @@ def test_a_batch_checks_each_tuple_as_the_constructor_does(bad):
 
 def test_a_batch_builds_a_bool_index():
     [rep] = BrahmaguptaRep._all_of_doubled([(True, 2, 4, 2)], 91)
-    assert rep == BrahmaguptaRep._of_doubled(True, 2, 4, 2, 91) == BrahmaguptaRep(1, 2, 2, 1, 91)
+    assert rep == BrahmaguptaRep(True, 2, 2, 1, 91) == BrahmaguptaRep(1, 2, 2, 1, 91)
 
 
 def cold_search(energy, mode):

@@ -241,6 +241,18 @@ def test_brahmagupta_conjecture_2700(spectrum_2700):
     assert check_brahmagupta_conjecture(spectrum_2700, RepMode.STRICT) == []
 
 
+@pytest.mark.parametrize("mode", ["strict", None])
+@pytest.mark.parametrize("e_max", [4, 2700])  # E <= 4 has no doublet level
+def test_brahmagupta_conjecture_rejects_an_unknown_mode(monkeypatch, mode, e_max):
+    def no_walk(*args):
+        raise AssertionError("walked before the mode was checked")
+
+    spectrum = enumerate_spectrum(e_max)
+    monkeypatch.setattr(Spectrum, "iter_levels", no_walk)
+    with pytest.raises(ValueError, match=f"mode must be a RepMode, got {mode!r}"):
+        check_brahmagupta_conjecture(spectrum, mode)
+
+
 def test_brahmagupta_conjecture_91():
     spectrum = enumerate_spectrum(91)
     assert check_brahmagupta_conjecture(spectrum) == []

@@ -21,7 +21,7 @@ from triform import (
     level_of, match_perrin, rep_search,
 )
 from triform.cli import _cell, build_parser, main, parse_rational
-from triform.spectrum import _WINDOW
+from triform.spectrum import _LEVEL_WINDOW as W
 
 
 def run_cli(capsys, *argv):
@@ -89,9 +89,9 @@ def test_spectrum_json_matches_materialized_levels(capsys, flags):
     assert json.loads(out)["levels"] == expected
 
 
-# e_max on both sides of the walk's window edges; at 6 no level is degenerate,
-# so --only-degenerate prints the empty `"levels": []`.
-@pytest.mark.parametrize("e_max", [4, 6, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+# e_max on both sides of the level walk's window edges; at 6 no level is
+# degenerate, so --only-degenerate prints the empty `"levels": []`.
+@pytest.mark.parametrize("e_max", [4, 6, W + 1, 2 * W - 1, 2 * W, 2 * W + 1, 4 * W + 3])
 @pytest.mark.parametrize("flags", [[], ["--only-degenerate"]])
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_streamed_spectrum_equals_the_records_then_render_command(capsys, e_max, flags, fmt):

@@ -27,9 +27,11 @@ from triform import spectrum as spectrum_module
 from triform.brahmagupta import rep_search
 from triform.cli import _STATE_FRAGMENTS
 from triform.spectrum import (
-    _TEXT_WINDOW, _WINDOW, _associate_solutions, _mul, _prime_rows, factorize,
-    form_solutions,
+    _LEVEL_WINDOW as W, _associate_solutions, _mul, _prime_rows, factorize, form_solutions,
 )
+
+# e_max on both sides of the level walk's first two window edges, W and 2*W
+_LEVEL_EDGES = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1]
 
 
 @pytest.mark.parametrize(
@@ -202,7 +204,7 @@ def test_repr_builds_nothing():
     assert spectrum._counts is None and spectrum._buckets is None
 
 
-@pytest.mark.parametrize("e_max", [4, 6, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+@pytest.mark.parametrize("e_max", [4, 6, *_LEVEL_EDGES, 4 * W + 3])
 def test_windowed_walk_equals_the_whole_range_stripe(e_max):
     spectrum = enumerate_spectrum(e_max)
     assert list(spectrum.raw_items()) == sorted(oracles.naive_levels(e_max).items())
@@ -217,20 +219,21 @@ def _rendered(items, first, second, sep):
             for energy, states in items]
 
 
-@pytest.mark.parametrize("e_max", [4, 6, _TEXT_WINDOW - 1, _TEXT_WINDOW + 1, _WINDOW - 1,
-                                   _WINDOW + 1, 2 * _WINDOW + 3])
+@pytest.mark.parametrize("e_max", [4, 6, W - 1, W + 1, 2 * W - 1, 2 * W + 1, 4 * W + 3])
 @pytest.mark.parametrize("fmt", sorted(_STATE_FRAGMENTS))
 def test_text_walk_equals_the_level_walk_rendered(e_max, fmt):
+    # the levels of the naive double loop, not of `raw_items`, which reads
+    # the same walk as `text_levels`
     fragments = _STATE_FRAGMENTS[fmt]
     spectrum = enumerate_spectrum(e_max)
     assert (list(spectrum.text_levels(*fragments))
-            == _rendered(spectrum.raw_items(), *fragments))
+            == _rendered(sorted(oracles.naive_levels(e_max).items()), *fragments))
     assert spectrum._buckets is None and spectrum._counts is None  # nothing cached
 
 
 @pytest.mark.parametrize("window", [4, 8, 64, 1024])
 def test_text_walk_windows_cover_the_range(monkeypatch, naive_2700, window):
-    monkeypatch.setattr(spectrum_module, "_TEXT_WINDOW", window)
+    monkeypatch.setattr(spectrum_module, "_LEVEL_WINDOW", window)
     fragments = ("<{}", "|{}>", ", ")
     assert (list(enumerate_spectrum(2700).text_levels(*fragments))
             == _rendered(sorted(naive_2700.items()), *fragments))
@@ -255,6 +258,9 @@ def test_explicit_buckets_iterate_in_ascending_energy():
     items = list(enumerate_spectrum(300).raw_items())
     spectrum = Spectrum(300, dict(reversed(items)))
     assert list(spectrum) == [e for e, _ in items] == sorted(e for e, _ in items)
+    walked = list(spectrum.raw_items())
+    assert walked == items
+    walked[0][1].clear()  # each list is fresh: the buckets stay as they were
     assert list(spectrum.raw_items()) == items
     assert [lv.energy for lv in spectrum.iter_levels()] == list(spectrum)
 
@@ -438,14 +444,14 @@ def test_class_walk_equals_the_filtered_full_walk(spectrum_2700, parity, degener
 
 @pytest.mark.parametrize("e_max", [4, 5, 7, 63, 64, 65, 127, 128, 129, 1000, 2999, 3000])
 def test_class_walk_across_small_windows(monkeypatch, e_max):
-    monkeypatch.setattr(spectrum_module, "_WINDOW", 64)
+    monkeypatch.setattr(spectrum_module, "_LEVEL_WINDOW", 64)
     spectrum = enumerate_spectrum(e_max)
     for parity, degeneracy in _LEVEL_CLASSES:
         assert (list(spectrum.iter_levels(parity, degeneracy))
                 == _filtered_walk(spectrum, parity, degeneracy)), (parity, degeneracy)
 
 
-@pytest.mark.parametrize("e_max", [_WINDOW - 1, _WINDOW, _WINDOW + 1])
+@pytest.mark.parametrize("e_max", _LEVEL_EDGES)
 def test_class_walk_at_the_window_edge(e_max):
     # the class of each oracle level read off the relative parity of its
     # first state, not off the energy
