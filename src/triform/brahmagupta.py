@@ -281,10 +281,11 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     tuples are distinct representations: (1,2,2,1) and (2,1,1,2) both count.
 
     The reps of the last energy searched are kept, in either mode, built
-    in one batch (`_reps`) from the tuples of the one solve: a strict
-    search right after a factorization search of the same energy, as
-    `doublet_coverage` makes for every doublet level, filters them with
-    `_strict` and builds nothing, and a search right after `level_of` of
+    in one batch (`_reps`) from the tuples of the one solve: a search
+    right after another of the same energy, in either mode, builds
+    nothing (a strict one filters the kept reps with `_strict`), so the
+    three searches `doublet_coverage` makes back to back for every doublet
+    level solve it once, and a search right after `level_of` of
     the same energy, which reads its states off the same solve, does not
     solve again.  Only one energy is kept, so memory stays bounded.  Strict
     mode keeps only the representations that pass `is_strict`.  Every call

@@ -56,8 +56,9 @@ from .brahmagupta import (
     inverse_rep,
     rep_search,
 )
-# check_perrin_conjecture is not called here, but perfbench/tracing.py wraps
-# it as an attribute of this module, so the import stays.
+# check_perrin_conjecture and check_brahmagupta_conjecture are not called
+# here, but perfbench/tracing.py wraps them as attributes of this module, so
+# the imports stay.
 from .census import (  # noqa: F401
     build_census,
     check_brahmagupta_conjecture,
@@ -381,8 +382,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = build_census(spectrum)
     # build_census already ran the seed scan on every same-parity 3-fold level
     perrin_bad = list(report.perrin_exceptions)
-    braham_bad = check_brahmagupta_conjecture(spectrum, mode)
-    coverage = doublet_coverage(spectrum)
+    coverage = doublet_coverage(spectrum, mode)
+    braham_bad = [c.energy for c in coverage if not c.covered]
     # the census counts the doublet levels off its count windows, a route
     # apart from the level walk, so a walk that skipped a level shows here
     walked = len(coverage) == report.brahmagupta_total

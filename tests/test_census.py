@@ -253,6 +253,18 @@ def test_brahmagupta_conjecture_rejects_an_unknown_mode(monkeypatch, mode, e_max
         check_brahmagupta_conjecture(spectrum, mode)
 
 
+@pytest.mark.parametrize("mode", ["strict", None])
+@pytest.mark.parametrize("e_max", [4, 2700])  # E <= 4 has no doublet level
+def test_doublet_coverage_rejects_an_unknown_mode(monkeypatch, mode, e_max):
+    def no_walk(*args):
+        raise AssertionError("walked before the mode was checked")
+
+    spectrum = enumerate_spectrum(e_max)
+    monkeypatch.setattr(Spectrum, "iter_levels", no_walk)
+    with pytest.raises(ValueError, match=f"mode must be a RepMode, got {mode!r}"):
+        doublet_coverage(spectrum, mode)
+
+
 def test_brahmagupta_conjecture_91():
     spectrum = enumerate_spectrum(91)
     assert check_brahmagupta_conjecture(spectrum) == []
@@ -281,22 +293,26 @@ def test_both_search_orders_match_the_divisor_scan_up_to_3000():
     # the oracle derives every count from the literal divisor scan, without
     # the solver or its cache of the last energy's solved tuples
     spectrum = enumerate_spectrum(3000)
-    expected = []
+    tallies = []
     for energy, states in spectrum.raw_items():
         if energy % 2 and len(states) == 2:
             reps = [(v1, v2, int(2 * v3), int(2 * v4)) for v1, v2, v3, v4 in oracles.scan_reps(energy)]
-            expected.append(DoubletCoverage(
+            tallies.append((
                 energy,
                 len(reps),
                 sum(a % 2 == 0 and b % 2 == 0 for _, _, a, b in reps),
                 sum(_strict(*rep) for rep in reps),
             ))
-    assert len(expected) == build_census(spectrum).brahmagupta_total == 123
-    # strict searches first, one energy after another, as `verify --mode strict`
+    assert len(tallies) == build_census(spectrum).brahmagupta_total == 123
+    # strict searches first, one energy after another, as the stand-alone check
     bad = check_brahmagupta_conjecture(spectrum, RepMode.STRICT)
-    assert bad == [c.energy for c in expected if c.strict_count == 0] == []
-    # then a factorization search and a strict search of each energy in turn
-    assert doublet_coverage(spectrum) == expected
+    assert bad == [energy for energy, _, _, strict in tallies if strict == 0] == []
+    # then each energy's search in `mode`, a factorization search and a
+    # strict search in turn, as `verify` makes them; `covered` reads the
+    # rep count (index 1) or the strict count (index 3) of each tally
+    for mode, covered in ((RepMode.FACTORIZATION, 1), (RepMode.STRICT, 3)):
+        expected = [DoubletCoverage(*t, covered=t[covered] > 0) for t in tallies]
+        assert doublet_coverage(spectrum, mode) == expected
 
 
 def test_census_agrees_with_checker(spectrum_2700, census_2700):

@@ -14,6 +14,8 @@ import pytest
 
 import oracles
 from oracles import parity_of
+import triform.brahmagupta as brahmagupta_module
+import triform.census as census_module
 import triform.cli as cli
 import triform.spectrum as spectrum_module
 from triform import (
@@ -429,7 +431,10 @@ brahmagupta-factorization,6,4,91;133
 @pytest.mark.parametrize("fmt", list(VERIFY_300_WITH_COUNTEREXAMPLES))
 def test_verify_prints_counterexamples(capsys, monkeypatch, fmt):
     # no goldens reach a counterexample; inject two per conjecture
-    monkeypatch.setattr(cli, "check_brahmagupta_conjecture", lambda spectrum, mode: [91, 133])
+    coverage = cli.doublet_coverage
+    monkeypatch.setattr(cli, "doublet_coverage", lambda spectrum, mode: [
+        dataclasses.replace(c, covered=False) if c.energy in (91, 133) else c
+        for c in coverage(spectrum, mode)])
     monkeypatch.setattr(cli, "build_census", lambda spectrum: dataclasses.replace(
         build_census(spectrum), perrin_exceptions=(196, 252)))
     code, out, _ = run_cli(capsys, "verify", "--emax", "300", "--format", fmt)
@@ -442,7 +447,7 @@ def test_verify_fails_when_the_level_walk_misses_a_doublet(capsys, monkeypatch, 
     # the census counts 6 doublet levels up to 300 off its count windows;
     # a coverage walk that drops one must not pass as all covered
     coverage = cli.doublet_coverage
-    monkeypatch.setattr(cli, "doublet_coverage", lambda spectrum: coverage(spectrum)[1:])
+    monkeypatch.setattr(cli, "doublet_coverage", lambda spectrum, mode: coverage(spectrum, mode)[1:])
     code, out, err = run_cli(capsys, "verify", "--emax", "300", "--format", fmt)
     assert code == 1
     assert err == "error: the level walk found 5 doublet levels, the census counts 6\n"
@@ -451,6 +456,29 @@ def test_verify_fails_when_the_level_walk_misses_a_doublet(capsys, monkeypatch, 
         assert doc["ok"] is False and doc["brahmagupta"]["counterexamples"] == []
     else:
         assert out.endswith("\nRESULT: the level walk missed a doublet level\n")
+
+
+@pytest.mark.parametrize("mode", ["factorization", "strict"])
+def test_verify_solves_each_doublet_level_once(capsys, monkeypatch, mode):
+    # the check and the tallies share one walk, and the three searches of a
+    # level run back to back, so the level's one solve serves all three
+    calls = []
+    search = census_module.rep_search
+
+    def counting(energy, search_mode):
+        calls.append(energy)
+        return search(energy, search_mode)
+
+    monkeypatch.setattr(census_module, "rep_search", counting)
+    brahmagupta_module._reps.cache_clear()
+    spectrum_module._rep_tuples.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--emax", "3000", "--mode", mode)
+    solves = spectrum_module._rep_tuples.cache_info().misses
+    doublets = build_census(enumerate_spectrum(3000)).brahmagupta_total
+    assert code == 0
+    assert solves == doublets == 123
+    assert calls == [energy for energy in sorted(set(calls)) for _ in range(3)]
+    assert len(calls) == 3 * doublets
 
 
 def test_verify_usage_error(capsys):
