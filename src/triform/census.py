@@ -155,7 +155,7 @@ def check_brahmagupta_conjecture(
     """Energies of opposite-parity 2-fold levels with no representation in `mode`.
 
     Walks only the doublet levels (`Spectrum.iter_levels`), so no other
-    level is built, and runs `rep_search`, the Eisenstein solve of
+    level is built, and runs `rep_search`, the Z[sqrt(-3)] solve of
     `spectrum._rep_tuples`, once per doublet level.  `doublet_coverage`
     gives the same answer per level (`DoubletCoverage.covered`) together
     with the tallies, in one walk; `verify` reads it there, and this check
@@ -171,13 +171,24 @@ def check_brahmagupta_conjecture(
 @dataclass(frozen=True)
 class DoubletCoverage:
     """Representation tallies for one opposite-parity 2-fold level, and
-    whether the search in the mode asked of `doublet_coverage` found a rep."""
+    whether the search in the mode asked of `doublet_coverage` found a rep.
+
+    `verify` holds one per doublet level, so the slots are declared, as
+    `brahmagupta.BrahmaguptaRep` declares them and for the same reason, and
+    pickling and `copy` rebuild a record through the constructor
+    (`__reduce__`).
+    """
+
+    __slots__ = ("energy", "rep_count", "all_integer_count", "strict_count", "covered")
 
     energy: int
     rep_count: int
     all_integer_count: int
     strict_count: int
     covered: bool
+
+    def __reduce__(self):
+        return (DoubletCoverage, tuple(getattr(self, name) for name in self.__slots__))
 
 
 def doublet_coverage(

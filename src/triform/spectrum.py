@@ -432,24 +432,23 @@ def factorize(n: int) -> "list[tuple[int, int]]":
     return factors
 
 
-# Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2, held as pairs (a, b).
-# The norm is a^2 - a*b + b^2, and a + b*w with b = 2x even is y + x*sqrt(-3)
-# for y = a - x, of norm 3*x^2 + y^2.  The ring has unique factorization and
-# six units, +-1, +-w and +-w^2, so the elements of norm n are read off the
-# primes of n.
-
-
-def _mul(u: "tuple[int, int]", v: "tuple[int, int]") -> "tuple[int, int]":
-    (a, b), (c, d) = u, v
-    return (a * c - b * d, a * d + b * c - b * d)
+# Elements y + x*sqrt(-3) of the ring Z[sqrt(-3)], held as pairs (y, x), of
+# norm y^2 + 3*x^2: a solution (x, y) of 3*x^2 + y^2 = n with x, y >= 1 is an
+# element of norm n.  The ring is closed under multiplication,
+# (y + x*sqrt(-3)) * (c + d*sqrt(-3)) = (y*c - 3*x*d) + (y*d + x*c)*sqrt(-3),
+# and it sits inside the Eisenstein integers Z[w], w = (-1 + sqrt(-3))/2,
+# which factor uniquely and have six units, +-1, +-w and +-w^2.  So the
+# elements of norm n are read off the primes of n (Cox, Primes of the Form
+# x^2 + ny^2, sections 1-2).
 
 
 def _split_prime(p: int) -> "tuple[int, int]":
-    """An Eisenstein prime of norm p, for a prime p = 1 (mod 3).
+    """(u, v) with u^2 + 3v^2 = p, for a prime p = 1 (mod 3): the prime
+    u + v*sqrt(-3) of norm p.
 
     c = g^((p-1)/3) != 1 is a cube root of unity mod p, so 2c + 1 is a
     square root of -3 mod p; Cornacchia's algorithm then solves
-    u^2 + 3v^2 = p, and u + v*sqrt(-3) = (u + v) + 2v*w.
+    u^2 + 3v^2 = p.
     """
     g = 2
     while (c := pow(g, (p - 1) // 3, p)) == 1:
@@ -457,69 +456,57 @@ def _split_prime(p: int) -> "tuple[int, int]":
     a, b = p, (2 * c + 1) % p
     while b * b > p:
         a, b = b, a % b
-    v = math.isqrt((p - b * b) // 3)
-    return (b + v, 2 * v)
+    return (b, math.isqrt((p - b * b) // 3))
 
 
-# Prime-power row tables kept by `_prime_rows`, a fixed bound.  A table of
-# p^k holds (k + 1)(k + 2)/2 elements at most, and the exponents of 4*E
-# stay small: 1024 tables of p^2 for split primes p near 10^9 take about
-# 1 MB (tracemalloc), and those of p^1 half of that.
+# Prime-power rows kept by `_prime_rows`, a fixed bound.  The rows of p^k
+# hold (k + 1)(k + 2)/2 elements at most, and the exponents of 4*E stay
+# small: 1024 rows of p^2 for split primes p near 10^9 take about 1 MB
+# (tracemalloc), and those of p^1 half of that.
 _PRIME_ROWS_KEPT = 1024
 
 
 @lru_cache(maxsize=_PRIME_ROWS_KEPT)
-def _prime_rows(p: int, k: int) -> "tuple[tuple[tuple[int, int], ...], ...]":
-    """Row e, for e = 0..k: the Eisenstein integers of norm p^e, one per
-    class of associates.
+def _prime_rows(p: int, k: int) -> "tuple[tuple[int, int, int], ...]":
+    """(p^e, y, x) for every element y + x*sqrt(-3) of norm p^e, one per +-
+    pair, for each e = 0..k whose cofactor exponent k - e also has elements.
 
-    A prime p = 2 (mod 3) stays prime, so its row e is p^(e/2) for even e
-    and empty for odd e.  3 = -w^2 * (1 - w)^2 ramifies, so its row e is
-    (1 - w)^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi from
-    Cornacchia's algorithm (`_split_prime`), and its row e is
+    A prime p = 2 (mod 3) stays prime in Z[w], so it has elements at even e
+    only, and none at all unless k is even: p^(e/2), and for p = 2 also its
+    two rotations 2^(e/2 - 1) * (-1 +- sqrt(-3)) at e >= 2, which are 2^(e/2)
+    times the units w and w^2.  3 = -(sqrt(-3))^2 ramifies, and gives
+    (sqrt(-3))^e.  A prime p = 1 (mod 3) splits as pi * conj(pi), with pi
+    from Cornacchia's algorithm (`_split_prime`), and gives
     pi^s * conj(pi)^(e-s) for s = 0..e.
 
+    The elements of Z[w] of one norm fall into classes of six associates.
+    A class of odd norm holds one +- pair of Z[sqrt(-3)], and a class that
+    2 divides holds three, the rotations.  So the products of one element
+    of each prime's rows, up to sign, are every element of Z[sqrt(-3)] of
+    their norm, each once.
+
     The rows depend on p and k alone, never on the energy being solved, so
-    the last `_PRIME_ROWS_KEPT` tables asked for are kept: a prime power
-    that many energies share, as the small primes of a `verify` range do,
-    is split and multiplied out once.  The rows are tuples, so no caller
-    can change what the next one reads.
+    the last `_PRIME_ROWS_KEPT` asked for are kept: a prime power that many
+    energies share, as the small primes of a `verify` range do, is split
+    and multiplied out once.  The rows are a tuple, so no caller can change
+    what the next one reads.
     """
     if p % 3 == 2:
-        return tuple(() if e % 2 else ((p ** (e // 2), 0),) for e in range(k + 1))
-    pi = (1, -1) if p == 3 else _split_prime(p)
+        if k % 2:
+            return ()
+        units = ((2, 0), (-1, 1), (-1, -1)) if p == 2 else ((p, 0),)
+        return ((1, 1, 0),) + tuple((p ** (2 * j), c * p ** (j - 1), d * p ** (j - 1))
+                                    for j in range(1, k // 2 + 1) for c, d in units)
+    u, v = (0, 1) if p == 3 else _split_prime(p)
     powers = [(1, 0)]
     for _ in range(k):
-        powers.append(_mul(powers[-1], pi))
+        y, x = powers[-1]
+        powers.append((u * y - 3 * v * x, u * x + v * y))
     if p == 3:
-        return tuple((power,) for power in powers)
-    conj = [(a - b, -b) for a, b in powers]  # conj(a + b*w) = (a - b) - b*w
-    return tuple(tuple(_mul(powers[s], conj[e - s]) for s in range(e + 1))
-                 for e in range(k + 1))
-
-
-def _associate_solutions(elements: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
-    """All (x, y) with x, y >= 1 such that y + x*sqrt(-3) is a unit times one
-    of the elements, unsorted.
-
-    a + b*w times the units 1, 1 + w and w gives (a, b), (a - b, a) and
-    (-b, a - b); the units -1, -1 - w and -w give their negatives.  (c, d)
-    is y + x*sqrt(-3) for d = 2x, c = x + y, so d must be even, and of each
-    +- pair only the one with d > 0 can qualify: the rule keeps each of the
-    three pairs whose d is even, flips its sign when d < 0, and takes it
-    when d > 0 and c > d/2.  Unless 2 divides a + b*w (a and b both even),
-    exactly one of b, a and a - b is even; when 2 divides it, all three are,
-    which covers all six units.
-    """
-    solutions = []
-    for a, b in elements:
-        for c, d in ((a, b), (a - b, a), (-b, a - b)):
-            if d & 1 == 0:
-                if d < 0:
-                    c, d = -c, -d
-                if d and c > d >> 1:
-                    solutions.append((d >> 1, c - (d >> 1)))
-    return solutions
+        return tuple((3**e, y, x) for e, (y, x) in enumerate(powers))
+    # pi^s * conj(pi^(e-s)), where conj(c + d*sqrt(-3)) = c - d*sqrt(-3)
+    return tuple((p**e, y * c + 3 * x * d, x * c - y * d) for e in range(k + 1)
+                 for (y, x), (c, d) in zip(powers, powers[e::-1]))
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -530,17 +517,20 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
 
     The one solver, kept for the last energy asked: `level_of` reads its
     states off the same tuples (`form_solutions`), so a `level` query
-    factors 4*E once.  Each prime power of 4*E gets one table of rows
-    (`_prime_rows`), which is kept across energies, so a split prime that
-    an earlier energy shared at the same exponent is not solved again.
-    The elements of norm d, for every divisor d of 4*E, are prefix
-    products, `_mul` written out inline: the lists grow one prime at a
-    time, so each product over a prefix of the primes is made once.  An
-    exponent whose row or cofactor row is empty, such as an odd power of
-    an inert prime, is not walked: one side of the product would have no
-    solution.  Each divisor's solutions (`_associate_solutions`) are paired
-    with its cofactor's, and only the final list is sorted.  The tuple is
-    immutable, so no caller can change what the next one reads.
+    factors 4*E once.  Each prime power of 4*E gets one flat row of
+    (norm, y, x) (`_prime_rows`), which is kept across energies, so a split
+    prime that an earlier energy shared at the same exponent is not solved
+    again.  One flat list of (norm, y, x), starting from 1, is multiplied
+    by each prime's row in turn, 2 last, so the list triples with 2's
+    rotations only once.  It then holds every element y + x*sqrt(-3) of
+    every norm d | 4*E whose cofactor 4*E/d also has elements, one per +-
+    pair.  The solutions of 3*x^2 + y^2 = d with x, y >= 1 are the
+    elements with x*y > 0, each read once, as (|x|, |y|), from the one of
+    its pair +-(y + x*sqrt(-3)) that the list holds; an element with x = 0
+    or y = 0 is no solution.
+    Each norm's solutions are paired with its cofactor's, and only the
+    final list is sorted.  The tuple is immutable, so no caller can change
+    what the next one reads.
 
     Raises ValueError for an energy that is not an int (a bool is one, as
     in `energy_of`).  The cache is typed, so a float or a Fraction equal to
@@ -550,22 +540,22 @@ def _rep_tuples(energy: int) -> "tuple[tuple[int, int, int, int], ...]":
         raise ValueError(f"energy must be an int, got {energy!r}")
     if energy < 4:
         return ()
-    products = {1: [(1, 0)]}  # divisor -> the elements of that norm
-    for p, k in factorize(4 * energy):
-        rows = _prime_rows(p, k)
-        steps = [(p ** e, row) for e, row in enumerate(rows) if row and rows[k - e]]
-        # (a + b*w) * (c + d*w), as `_mul` has it, written out in place
-        products = {
-            n * q: [(a * c - b * d, a * d + b * c - b * d) for a, b in elements for c, d in row]
-            for n, elements in products.items() for q, row in steps
-        }
-    solved = {d: _associate_solutions(elements) for d, elements in products.items()}
-    return tuple(sorted([(v1, v2, a, b) for d, first in solved.items() if first
+    two, *odd = factorize(4 * energy)  # (2, k) with k >= 2 comes first
+    elements = [(1, 1, 0)]
+    for p, k in odd + [two]:
+        elements = [(n * q, y * c - 3 * x * d, y * d + x * c)
+                    for n, y, x in elements for q, c, d in _prime_rows(p, k)]
+    solved: "dict[int, list[tuple[int, int]]]" = {n: [] for n, _, _ in elements}
+    for n, y, x in elements:
+        if x * y > 0:
+            solved[n].append((abs(x), abs(y)))
+    return tuple(sorted([(v1, v2, a, b) for d, first in solved.items()
                          for a, b in solved[4 * energy // d] for v1, v2 in first]))
 
 
 def form_solutions(n: int) -> "list[tuple[int, int]]":
-    """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x.
+    """All (x, y) with x, y >= 1 and 3*x^2 + y^2 = n, ascending in x: the
+    elements y + x*sqrt(-3) of norm n with x*y > 0, one of each +- pair.
 
     These are the reps (1, 1, x/2, y/2) of n, since (3 + 1) * (3*x^2 + y^2)
     = 4*n: the tuples of `_rep_tuples(n)` that sort before (1, 2), cut off

@@ -15,11 +15,17 @@ from fractions import Fraction
 from triform.census import _MIN_ROWS, CensusReport, CensusRow
 from triform.cli import _render
 from triform.perrin import find_seed
-from triform.spectrum import EnergyLevel, Parity, Spectrum, _mul, parity_of_energy
+from triform.spectrum import EnergyLevel, Parity, Spectrum, parity_of_energy
 
-# The six units of the Eisenstein integers a + b*w, as pairs (a, b):
-# 1, 1 + w = -w^2, w, -1, -1 - w = w^2 and -w.
+# The six units of the Eisenstein integers a + b*w, w = (-1 + sqrt(-3))/2,
+# as pairs (a, b): 1, 1 + w = -w^2, w, -1, -1 - w = w^2 and -w.
 _UNITS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+
+
+def _mul(u: "tuple[int, int]", v: "tuple[int, int]") -> "tuple[int, int]":
+    """(a + b*w) * (c + d*w) as a pair, from w^2 = -1 - w."""
+    (a, b), (c, d) = u, v
+    return (a * c - b * d, a * d + b * c - b * d)
 
 
 def parity_of(level: EnergyLevel) -> Parity:
@@ -117,18 +123,25 @@ def scan_form_solutions(n: int) -> "list[tuple[int, int]]":
 
 
 def unit_loop_solutions(rows: "list[list[tuple[int, int]]]") -> "list[tuple[int, int]]":
-    """`spectrum._associate_solutions` of the row products, sorted, as a loop
-    over `_mul` and the six `_UNITS`: every row product, times every unit,
-    kept when it is y + x*sqrt(-3) with x, y >= 1."""
+    """Every (x, y) with x, y >= 1 such that y + x*sqrt(-3) is an associate of
+    a product of one element of each row, each once, sorted.
+
+    A row holds elements y + x*sqrt(-3) as pairs (y, x), taken into the
+    Eisenstein integers as (y + x) + 2x*w.  The products are made there by
+    `_mul`, each class of associates is taken once (its least member), and
+    every member of a class is tried by a loop over the six `_UNITS`: kept
+    when it is (c, d) = (x + y) + 2x*w with x, y >= 1.
+    """
     elements = [(1, 0)]
     for row in rows:
-        elements = [_mul(e, o) for e in elements for o in row]
+        elements = [_mul(e, (y + x, 2 * x)) for e in elements for y, x in row]
+    classes = {min(_mul(e, unit) for unit in _UNITS) for e in elements}
     solutions = []
-    for element in elements:
+    for element in classes:
         for unit in _UNITS:
-            a, b = _mul(element, unit)
-            if b > 0 and b % 2 == 0 and a > b // 2:
-                solutions.append((b // 2, a - b // 2))
+            c, d = _mul(element, unit)
+            if d > 0 and d % 2 == 0 and c > d // 2:
+                solutions.append((d // 2, c - d // 2))
     solutions.sort()
     return solutions
 

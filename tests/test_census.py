@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 from fractions import Fraction as F
 
@@ -313,6 +315,25 @@ def test_both_search_orders_match_the_divisor_scan_up_to_3000():
     for mode, covered in ((RepMode.FACTORIZATION, 1), (RepMode.STRICT, 3)):
         expected = [DoubletCoverage(*t, covered=t[covered] > 0) for t in tallies]
         assert doublet_coverage(spectrum, mode) == expected
+
+
+def test_doublet_coverage_is_slotted_and_frozen():
+    record = doublet_coverage(enumerate_spectrum(91))[0]
+    assert record == DoubletCoverage(91, 16, 2, 4, True)
+    assert not hasattr(record, "__dict__")
+    for name in DoubletCoverage.__slots__ + ("extra",):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert hash(record) == hash(DoubletCoverage(91, 16, 2, 4, True))
+
+
+def test_doublet_coverage_survives_pickle_and_copy():
+    record = DoubletCoverage(91, 8, 2, 4, True)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert clone == record and type(clone) is DoubletCoverage
+        assert dataclasses.astuple(clone) == (91, 8, 2, 4, True)
 
 
 def test_census_agrees_with_checker(spectrum_2700, census_2700):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import _UNITS, parity_of
+from oracles import parity_of
 from triform import (
     EmptySpectrumError,
     EnergyLevel,
@@ -26,9 +26,7 @@ from triform import (
 from triform import spectrum as spectrum_module
 from triform.brahmagupta import rep_search
 from triform.cli import _STATE_FRAGMENTS
-from triform.spectrum import (
-    _LEVEL_WINDOW as W, _associate_solutions, _mul, _prime_rows, factorize, form_solutions,
-)
+from triform.spectrum import _LEVEL_WINDOW as W, _prime_rows, _rep_tuples, factorize, form_solutions
 
 # e_max on both sides of the level walk's first two window edges, W and 2*W
 _LEVEL_EDGES = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1]
@@ -536,29 +534,48 @@ def test_factorize_hard_cases(n, factors):
     assert factorize(n) == factors
 
 
+def _up_to_sign(y, x):
+    """The one of +-(y + x*sqrt(-3)) with x > 0, or with x = 0 and y > 0."""
+    return (y, x) if (x, y) > (0, 0) else (-y, -x)
+
+
+def _elements_of_norm(n):
+    """Every y + x*sqrt(-3) of norm y^2 + 3*x^2 = n, one of each +- pair, by a
+    scan over x."""
+    elements = set()
+    for x in range(math.isqrt(n // 3) + 1):
+        y = math.isqrt(n - 3 * x * x)
+        if y * y == n - 3 * x * x:
+            elements |= {_up_to_sign(y, x), _up_to_sign(-y, x)}
+    return elements
+
+
 @pytest.mark.parametrize("p", [p for p in range(2, 200) if _is_prime(p)])
 def test_prime_rows_hold_one_element_per_associate_class_of_each_norm(p):
+    # the units of Z[sqrt(-3)] are +-1, so a class of associates is a +- pair
     for k in range(5):
         rows = _prime_rows(p, k)
-        assert len(rows) == k + 1
-        for e, row in enumerate(rows):
-            assert all(a * a - a * b + b * b == p**e for a, b in row), (p, e)
+        inert = p % 3 == 2
+        exponents = [] if inert and k % 2 else range(0, k + 1, 2) if inert else range(k + 1)
+        assert sorted({q for q, _, _ in rows}) == [p**e for e in exponents], (p, k)
+        for e in exponents:
+            row = [_up_to_sign(y, x) for q, y, x in rows if q == p**e]
+            assert all(y * y + 3 * x * x == p**e for y, x in row), (p, e)
+            assert len(set(row)) == len(row), (p, e)  # no two equal up to sign
+            assert set(row) == _elements_of_norm(p**e), (p, e)
             if p % 3 == 1:
                 assert len(row) == e + 1
-            elif p == 3:
-                assert len(row) == 1
+            elif p == 2 and e:
+                assert len(row) == 3  # 2^(e/2) and its two rotations
             else:
-                assert len(row) == (e % 2 == 0)
-            for i, u in enumerate(row):
-                for v in row[:i]:
-                    assert all(_mul(v, unit) != u for unit in _UNITS), (p, e, u, v)
+                assert len(row) == 1
 
 
-@pytest.mark.parametrize("p, k", [(2, 3), (3, 4), (5, 2), (7, 3), (13, 1)])
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 4), (5, 2), (7, 3), (13, 1), (2, 4), (11, 2)])
 def test_prime_rows_are_tuples(p, k):
     rows = _prime_rows(p, k)
     assert type(rows) is tuple
-    assert all(type(row) is tuple and all(type(u) is tuple for u in row) for row in rows)
+    assert all(type(t) is tuple and len(t) == 3 and all(type(n) is int for n in t) for t in rows)
     assert _prime_rows(p, k) is rows  # kept, and no caller can change it
 
 
@@ -582,21 +599,23 @@ def test_kept_rows_solve_as_cold_rows_do(order):
 
 
 def _exponent_rows(n):
-    """The `_prime_rows` rows of every exponent vector of n, as `rep_search` walks
-    them, empty rows included."""
+    """The `_prime_rows` elements of every exponent vector of n, one list of
+    (y, x) per prime, an exponent the rows leave out giving an empty list."""
     factors = factorize(n)
     tables = [_prime_rows(p, k) for p, k in factors]
     for exps in itertools.product(*(range(k + 1) for _, k in factors)):
-        yield [rows[e] for rows, e in zip(tables, exps)]
+        yield [[(y, x) for q, y, x in rows if q == p**e]
+               for (p, _), rows, e in zip(factors, tables, exps)]
 
 
 def _solutions(rows):
-    """The solutions of the products of one element from each row, ascending
-    in x: the products by `_mul`, the associates by `_associate_solutions`."""
+    """The solutions read off the products of one element of each row, as
+    `_rep_tuples` reads them: (|x|, |y|) of each product y + x*sqrt(-3)
+    with x*y > 0, ascending in x."""
     elements = [(1, 0)]
     for row in rows:
-        elements = [_mul(e, o) for e in elements for o in row]
-    return sorted(_associate_solutions(elements))
+        elements = [(y * c - 3 * x * d, y * d + x * c) for y, x in elements for c, d in row]
+    return sorted((abs(x), abs(y)) for y, x in elements if x * y > 0)
 
 
 def test_solutions_match_the_unit_loop_up_to_5000():
@@ -606,7 +625,9 @@ def test_solutions_match_the_unit_loop_up_to_5000():
             expected = oracles.unit_loop_solutions(rows)
             assert _solutions(rows) == expected, (energy, rows)
             solved += bool(expected)
-    assert solved > 20000
+    # the rows leave out an exponent whose cofactor has no element, such as
+    # 2^1 and 2^3 of 4*E for an even E not divisible by 4
+    assert solved > 9000
 
 
 def test_solutions_match_the_unit_loop_on_a_seeded_sample():
@@ -626,13 +647,13 @@ def test_solutions_match_the_unit_loop_on_a_seeded_sample():
 
 @pytest.mark.parametrize("n", [4 * 3 * 7, 2**6 * 3**5 * 7 * 13, 2**10 * 7 * 13 * 19, 4**3 * 7**3])
 def test_solutions_of_elements_that_2_divides_match_the_unit_loop(n):
-    # 2 is inert, so its row at an even exponent 2j >= 2 is the integer 2^j,
-    # and every product with it has both coordinates even: for these
-    # elements all three pairs of the rule in `_associate_solutions` have an
-    # even d, and together with their sign flips they cover all six units
+    # 2 is inert, so its row at an even exponent 2j >= 2 holds 2^j and its
+    # two rotations 2^(j-1) * (-1 +- sqrt(-3)), one class of associates in
+    # Z[w]: the unit loop takes each class of the products once, so the
+    # three rows together must give each solution once
     solved = 0
     for rows in _exponent_rows(n):
-        if rows[0] and rows[0][0][0] > 1:
+        if len(rows[0]) == 3:
             expected = oracles.unit_loop_solutions(rows)
             assert _solutions(rows) == expected, rows
             solved += bool(expected)
@@ -687,6 +708,40 @@ def test_level_of_large_energies_match_scan(energy):
     level = level_of(energy)
     expected = oracles.scan_form_solutions(energy)
     assert expected and [tuple(s) for s in level.states] == expected
+
+
+def _doubled(reps):
+    """Oracle reps (v1, v2, v3, v4) as the solver's (v1, v2, 2*v3, 2*v4)."""
+    return tuple((v1, v2, int(2 * v3), int(2 * v4)) for v1, v2, v3, v4 in reps)
+
+
+def test_rep_tuples_heavy_in_2_and_3_match_the_product_oracle_up_to_5000(oracle_reps_5000):
+    # 16 | E puts 2's rotations at e >= 4 into the solve, 27 | E (sqrt(-3))^e
+    # at e >= 3
+    energies = [e for e in range(1, 5001) if e % 16 == 0 or e % 27 == 0]
+    for energy in energies:
+        assert _rep_tuples(energy) == _doubled(oracle_reps_5000.get(energy, [])), energy
+    assert sum(bool(_rep_tuples(e)) for e in energies) > 140
+
+
+# Heavy in the inert 2 and the ramified 3: 95420416 = 4^10*91 has 6 states
+# and 316 reps, 551124 = 4*3^9*7 has 3 states and 80 reps, and 3^12 has
+# only the solution (0, 3^6), whose zero index no state takes.
+HEAVY_IN_2_AND_3 = [4**10 * 91, 4 * 3**9 * 7, 2**30, 3**12, 4**6 * 11**2 * 7,
+                    2**20 * 3**3 * 7**2 * 13]
+_HEAVY_RNG = random.Random(2330)
+SEEDED_HEAVY_IN_2_AND_3 = [
+    e for e in (energy * 4 ** _HEAVY_RNG.randint(0, 8) * 3 ** _HEAVY_RNG.randint(0, 6)
+                for energy in oracles.seeded_realized_energies(2330, 20, 10**3, 10**8))
+    if e <= 10**12
+]
+
+
+@pytest.mark.parametrize("energy", HEAVY_IN_2_AND_3 + SEEDED_HEAVY_IN_2_AND_3)
+def test_solves_heavy_in_2_and_3_match_the_scans(energy):
+    assert form_solutions(energy) == oracles.scan_form_solutions(energy)
+    if energy <= 10**10:  # where the divisor scan stays under a second
+        assert _rep_tuples(energy) == _doubled(oracles.scan_reps(energy))
 
 
 # ------------------------------------------------------ divisor-sum oracle
