@@ -67,10 +67,12 @@ def build_census(spectrum: Spectrum) -> CensusReport:
 
     Reads only the count windows (`Spectrum.count_windows`), one at a time,
     never a state and never a whole-range table, so memory stays flat as
-    e_max grows.  A window starts at a multiple of 4, so its same-parity
-    energies, E = 0 (mod 4), are the slice c[0::4], and its opposite-parity
-    energies, the odd E, are c[1::2].  Each row of the histogram sums one
-    `bytes.count` per slice and window (`_tally`).
+    e_max grows.  The windows come in ascending order whichever process
+    striped them, and the tally of each runs here, in this process, while
+    the workers stripe the next ones.  A window starts at a multiple of 4,
+    so its same-parity energies, E = 0 (mod 4), are the slice c[0::4], and
+    its opposite-parity energies, the odd E, are c[1::2].  Each row of the
+    histogram sums one `bytes.count` per slice and window (`_tally`).
 
     Perrin tally: a same-parity 3-fold level holds a triplet exactly when
     some seed (m1, m2), m2 > m1 >= 1, has its energy 4*(m1^2 + m1*m2 + m2^2),

@@ -24,6 +24,8 @@ import io
 import itertools
 import math
 import operator
+import os
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -117,16 +119,18 @@ class Spectrum:
     Nothing is enumerated at construction.  Two stripes read the range,
     each afresh on every call and one window at a time: the count stripe
     (`count_windows`) yields the state count of every energy, one window
-    of `_COUNT_WINDOW` energies at a time, and the level stripe (`_levels`)
-    yields the states of every level, one window of `_LEVEL_WINDOW`
-    energies at a time.  `raw_items` and `iter_levels` read the level
-    stripe as index pairs, and `text_levels` as text.  Each holds one
-    window and never the whole range, so memory stays flat as e_max grows.
+    of `_COUNT_WINDOW` energies at a time, striped by forked workers on
+    every CPU, and the level stripe (`_levels`) yields the states of every
+    level, one window of `_LEVEL_WINDOW` energies at a time.  `raw_items`
+    and `iter_levels` read the level stripe as index pairs, and
+    `text_levels` as text.  Each process holds one window and never the
+    whole range, so memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
     joined from the count windows on first use and cached, or built at
     construction from explicit buckets: iteration (the realized energies,
-    ascending), `len`, `state_count`, `degeneracy_of` and `in` read it.
+    ascending), `len`, `degeneracy_of` and `in` read it.  `state_count`
+    sums one square root per n1 instead, unless the buckets were given.
     `[]` solves its one energy (`level_of`).  The table is a pure function
     of e_max, so concurrent readers that race to build it build the same
     value and stay safe.
@@ -163,27 +167,100 @@ class Spectrum:
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` the caller may change.  The stripe adds 1 at
-        3*n1^2 + n2^2 for every state in the window (`_stripes`), unless the
-        count table is already built (`degeneracies`, or the constructor
-        from explicit buckets): then each window is a copy of its slice.
+        fresh `bytearray` the caller may change, and the windows come in
+        ascending lo.  The stripe adds 1 at 3*n1^2 + n2^2 for every state in
+        the window (`_window_counts`), unless the count table is already
+        built (`degeneracies`, or the constructor from explicit buckets):
+        then each window is a copy of its slice.
+
+        Forked workers stripe most windows, on the CPUs of the affinity
+        mask (`_cpus`).  With c of them, window i goes to the process
+        (i mod (2c - 1) + 1) // 2: 0 is this one, which stripes one window
+        in 2c - 1 and also gets every window to the caller, and each of the
+        c - 1 workers stripes two.  The caller's work on a window (the
+        census tally, about half a stripe at 10^8) runs here, so this
+        process takes half a worker's share; on two CPUs, a census at 10^8
+        took 2.7 s this way against 3.1 s with one window in two (4.3 s on
+        one CPU; 2-vCPU x86, Python 3.11).  A built table, one window or
+        one CPU forks nothing.  A worker writes its windows to its own pipe,
+        sized to hold one (`_count_worker`, `_deepen`), so it stripes the
+        next while the last waits, and this process reads each back when
+        its turn comes.  A worker that dies raises RuntimeError.  The
+        `finally` closes the pipes, then kills and reaps every worker, also
+        on an early stop, so that no stop waits on a window being striped
+        or on a worker of a second open stripe, which holds this stripe's
+        read ends.  A worker closes the read ends it inherits, so once its
+        reader is gone (this process killed, say) its next write fails and
+        it leaves.
 
         A byte holds 255 states at most, and a count above that raises
-        ValueError rather than wrapping.  Realized degeneracies stay far
-        below it: g(E) = floor(eps(E) * d(E) / 2), with d(E) the divisor
-        count over the primes p = 1 (mod 3), first passes 255 only near
-        E = 10^12 (the largest g is 108 up to 10^9 and 216 up to 10^11).
+        ValueError rather than wrapping, in whichever process.  Realized
+        degeneracies stay far below it: g(E) = floor(eps(E) * d(E) / 2),
+        with d(E) the divisor count over the primes p = 1 (mod 3), first
+        passes 255 only near E = 10^12 (the largest g is 108 up to 10^9 and
+        216 up to 10^11).
         """
         end = self._e_max + 1
         squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
-        for lo in range(0, end, _COUNT_WINDOW):
-            yield lo, self._window_counts(lo, min(lo + _COUNT_WINDOW, end), squares)
+        bounds = [(lo, min(lo + _COUNT_WINDOW, end)) for lo in range(0, end, _COUNT_WINDOW)]
+        cpus = 1 if self._counts is not None else _cpus()
+        owners = [(i % (2 * cpus - 1) + 1) // 2 for i in range(len(bounds))]
+        pipes: "list[tuple[io.BufferedReader, io.BufferedReader]]" = []  # worker j's (data, errors) at j - 1
+        pids = []
+        try:
+            for j in range(1, max(owners) + 1):
+                data, errors = os.pipe(), os.pipe()
+                pipes.append((open(data[0], "rb"), open(errors[0], "rb")))
+                try:
+                    _deepen(data[1])
+                    pid = os.fork()
+                    if pid == 0:
+                        mine = [b for b, owner in zip(bounds, owners) if owner == j]
+                        self._count_worker(pipes, data[1], errors[1], mine, squares)
+                    pids.append(pid)
+                finally:
+                    os.close(data[1])  # only a worker may hold the write ends
+                    os.close(errors[1])
+            for (lo, hi), owner in zip(bounds, owners):
+                if owner:
+                    yield lo, _read_window(*pipes[owner - 1], hi - lo, lo)
+                else:
+                    yield lo, self._window_counts(lo, hi, squares)
+        finally:
+            for reader in itertools.chain.from_iterable(pipes):
+                reader.close()
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL, POSIX's 9
+                os.waitpid(pid, 0)
+
+    def _count_worker(self, inherited: "list[tuple[io.BufferedReader, io.BufferedReader]]", data: int,
+                      errors: int, bounds: "list[tuple[int, int]]", squares: "list[int]") -> None:
+        """A forked worker: close the `inherited` read ends, then write the
+        counts of each window [lo, hi) of `bounds` to the fd `data`, or the
+        message of a ValueError to the fd `errors`, and stop.  The stripe
+        that forked it then holds the only read ends, so a write fails once
+        they are gone.  It leaves only through `os._exit`, so no stdout
+        buffered before the fork is written twice."""
+        code = 1
+        try:
+            for reader in itertools.chain.from_iterable(inherited):
+                reader.close()
+            with open(data, "wb") as pipe:
+                try:
+                    for lo, hi in bounds:
+                        pipe.write(self._window_counts(lo, hi, squares))
+                        pipe.flush()  # a small window would wait in the buffer
+                except ValueError as exc:
+                    os.write(errors, str(exc).encode())
+            code = 0
+        finally:
+            os._exit(code)
 
     def _window_counts(self, lo: int, hi: int, squares: "list[int]") -> bytearray:
         """The counts of the energies [lo, hi); squares[n2] is n2^2.  Once the
         whole table is built (by `degeneracies`, or at construction from
         explicit buckets), a window is a copy of its slice, so a census
-        after `len` or `state_count` does not stripe the range again."""
+        after `len` or `degeneracy_of` does not stripe the range again."""
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
         counts = bytearray(hi - lo)
@@ -214,7 +291,12 @@ class Spectrum:
 
     @property
     def state_count(self) -> int:
-        return sum(self.degeneracies())
+        """States of energy <= e_max: isqrt(e_max - 3*n1^2) of them for each
+        n1 >= 1, with no table.  Explicit buckets sum their table."""
+        if self._buckets is not None:
+            return sum(self.degeneracies())
+        e_max = self._e_max
+        return sum(math.isqrt(e_max - 3 * n1 * n1) for n1 in range(1, math.isqrt(e_max // 3) + 1))
 
     def __len__(self) -> int:
         counts = self.degeneracies()
@@ -365,6 +447,44 @@ _LEVEL_WINDOW = 1 << 15
 # window is 1 MB and stays in cache while the stripe writes into it.  A
 # whole-range table at 2*10^7 took about twice as long to stripe.
 _COUNT_WINDOW = 1 << 20
+
+
+def _cpus() -> int:
+    """The processes `Spectrum.count_windows` may stripe on: the CPUs of
+    the affinity mask, or 1 without `os.fork` or while a second thread
+    runs, which could hold a lock that a forked child never sees released."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _deepen(fd: int) -> None:
+    """Size the pipe that `fd` writes to at 1 MB, one count window of
+    `_COUNT_WINDOW` and Linux's bound for a process without privileges
+    (/proc/sys/fs/pipe-max-size), so that a worker need not wait for its
+    last window to be read before it stripes the next.  Elsewhere, or past
+    the user's pipe quota, the pipe keeps its size: the windows come out
+    the same, with less overlap."""
+    import fcntl  # POSIX, as os.fork is
+
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):
+        pass
+
+
+def _read_window(data: "io.BufferedReader", errors: "io.BufferedReader", size: int, lo: int) -> bytearray:
+    """The next window of `size` counts from a worker's `data` pipe, in a
+    fresh `bytearray`.  Raises the worker's ValueError, with the message it
+    wrote to `errors`, or RuntimeError when the worker stopped before
+    writing the whole window."""
+    counts = bytearray(size)
+    if data.readinto(counts) == size:
+        return counts
+    message = errors.read().decode()
+    if message:
+        raise ValueError(message)
+    raise RuntimeError(f"the count worker of the window at {lo} stopped before writing it")
 
 
 def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":

@@ -111,6 +111,21 @@ def test_census_equals_the_bucket_census_across_small_windows(monkeypatch):
         assert build_census(spectrum) == oracles.bucket_census(spectrum), e_max
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_census_equals_one_process_and_the_bucket_census(monkeypatch, forks, cpus):
+    # windows of 64 energies striped on 2 or 3 processes: seeds and levels
+    # straddle the edges between windows of different processes
+    e_maxes = [*range(60, 400, 7), 1000, 3000]
+    for e_max in e_maxes:
+        monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
+        alone = build_census(enumerate_spectrum(e_max))
+        monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+        spectrum = enumerate_spectrum(e_max)
+        assert build_census(spectrum) == alone == oracles.bucket_census(spectrum), e_max
+    # every e_max from 64 up has two windows or more, so forks a worker
+    assert len(forks) >= sum(e_max >= 64 for e_max in e_maxes)
+
+
 @pytest.mark.parametrize("window", [4, 8, 64, 1024, _COUNT_WINDOW])
 def test_census_reports_planted_triplets_at_every_window_size(monkeypatch, window):
     # None of 4, 1020 and 1024 is a seed energy.  4 and 1024 open a window

@@ -1,10 +1,17 @@
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -347,6 +354,202 @@ def test_degeneracies_raise_rather_than_wrap():
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
     with pytest.raises(ValueError):  # at construction, which counts the buckets
         Spectrum(4, {4: [(1, 1)] * 256})
+
+
+def _assert_state_count_sums_the_table(e_max):
+    spectrum = enumerate_spectrum(e_max)
+    count = spectrum.state_count
+    assert spectrum._counts is None, e_max  # no table built
+    assert count == sum(spectrum.degeneracies()), e_max
+
+
+def test_state_count_sums_the_table_up_to_3000():
+    for e_max in range(4, 3001):
+        _assert_state_count_sums_the_table(e_max)
+
+
+@pytest.mark.parametrize("e_max", [k * (1 << 20) + d for k in (1, 2) for d in (-1, 1)] + [2 * 10**6])
+def test_state_count_sums_the_table_at_window_edges(e_max):
+    _assert_state_count_sums_the_table(e_max)
+
+
+def test_state_count_of_explicit_buckets_sums_what_they_hold():
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    buckets[4] = [(1, 1), (2, 2), (3, 3)]
+    buckets[3001] = [(1, 1)]  # outside the range: left out
+    assert Spectrum(3000, buckets).state_count == enumerate_spectrum(3000).state_count + 2
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_windows_equal_one_process(monkeypatch, forks, cpus):
+    for e_max in [4, 63, 64, 127, 128, 129, 191, 192, 193, 255, 256, 257, 1000, 2700]:
+        monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
+        alone = list(enumerate_spectrum(e_max).count_windows())
+        forked = len(forks)
+        monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+        spectrum = enumerate_spectrum(e_max)
+        assert list(spectrum.count_windows()) == alone
+        assert spectrum.degeneracies() == b"".join(c for _, c in alone)
+        assert list(spectrum.count_windows()) == alone  # off the built table, unforked
+        # each of the first two stripes forks a worker per CPU but one, and
+        # no more than one per two windows: window i goes to the process
+        # (i mod (2 * cpus - 1) + 1) // 2
+        assert len(forks) - forked == 2 * min(cpus - 1, len(alone) // 2), e_max
+
+
+def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 2)
+    parent = os.getpid()
+    window_counts = Spectrum._window_counts
+    overflow = bytearray(1)
+    with pytest.raises(ValueError) as raised:
+        overflow[0] += 256
+    message = str(raised.value)
+
+    def planted(self, lo, hi, squares):
+        if lo == 256 and os.getpid() != parent:
+            overflow[0] += 256  # a count above 255, in the worker
+        return window_counts(self, lo, hi, squares)
+
+    monkeypatch.setattr(Spectrum, "_window_counts", planted)
+    windows = enumerate_spectrum(1000).count_windows()
+    # on 2 CPUs the worker has windows 1, 2, 4, 5, ... and this process 0, 3, 6, ...
+    assert [lo for lo, _ in itertools.islice(windows, 4)] == [0, 64, 128, 192]
+    with pytest.raises(ValueError) as raised:
+        next(windows)
+    assert str(raised.value) == message
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("stop", ["dies", "cuts its last window short"])
+def test_a_worker_that_stops_early_raises_runtime_error(monkeypatch, forks, stop):
+    # 16 windows on 3 CPUs: the first worker has windows 1, 2, 6, 7, 11, 12,
+    # the second 3, 4, 8, 9, 13, 14, and this process 0, 5, 10, 15
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 3)
+    parent = os.getpid()
+    window_counts = Spectrum._window_counts
+    at = 6 * 64 if stop == "dies" else 14 * 64
+
+    def planted(self, lo, hi, squares):
+        counts = window_counts(self, lo, hi, squares)
+        if lo == at and os.getpid() != parent:
+            if stop == "dies":
+                os._exit(3)
+            del counts[-1]
+        return counts
+
+    monkeypatch.setattr(Spectrum, "_window_counts", planted)
+    windows = enumerate_spectrum(1000).count_windows()
+    assert [lo for lo, _ in itertools.islice(windows, at // 64)] == list(range(0, at, 64))
+    with pytest.raises(RuntimeError, match=f"window at {at} "):
+        next(windows)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_stopping_after_one_window_reaps_every_worker(monkeypatch, forks, cpus):
+    # Windows of 2 MB overfill a pipe of 1 MB, so a worker whose stripe
+    # stops is blocked on a write, and the workers of the second stripe hold
+    # the read ends of the first stripe's pipes, forked before them: a
+    # worker waited on but not killed would never see its pipe close.
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 1 << 21)
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+    first, second = (enumerate_spectrum(1 << 23).count_windows() for _ in range(2))
+    for windows in (first, second):
+        lo, counts = next(windows)
+        assert lo == 0 and len(counts) == 1 << 21
+    first.close()
+    second.close()
+    assert len(forks) == 2 * (cpus - 1)
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+_KILLED_MID_STRIPE = """
+import os, sys
+from triform import spectrum
+spectrum._COUNT_WINDOW = 1 << 21
+spectrum._cpus = lambda: 3
+fork = os.fork
+
+def recorded():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = recorded
+windows = spectrum.enumerate_spectrum(1 << 23).count_windows()
+next(windows)
+print("read", flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid):
+    """Whether pid runs: it has not exited, nor is it a zombie left to init."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads a worker's state in /proc")
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGKILL"])
+def test_workers_leave_when_the_census_process_is_killed(signame):
+    # The process reading the stripe is killed after one window, so its
+    # `finally` never runs.  Its two workers are blocked writing windows of
+    # 2 MB into pipes of 1 MB, and each must then fail the write and leave
+    # by itself, which it cannot while any worker holds a read end.
+    src = Path(__file__).resolve().parents[1] / "src"
+    census = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_MID_STRIPE],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    pids = [int(line) for line in iter(census.stdout.readline, "read\n")]
+    census.send_signal(getattr(signal, signame))
+    census.wait()
+    census.stdin.close()
+    census.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 20
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, f"workers outlived the census process: {left}"
+
+
+def test_a_worker_pipe_holds_a_whole_window():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("only Linux sizes a pipe")
+    r, w = os.pipe()
+    try:
+        spectrum_module._deepen(w)
+        assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) >= spectrum_module._COUNT_WINDOW
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_no_fork_without_fork_or_with_a_second_thread(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert spectrum_module._cpus() == len(os.sched_getaffinity(0))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert spectrum_module._cpus() == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert spectrum_module._cpus() == 1
 
 
 @pytest.mark.parametrize("energy", [4.0, 76.0, 91.0, 2.5, "91", None])
