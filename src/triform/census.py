@@ -156,18 +156,13 @@ def check_brahmagupta_conjecture(
 ) -> "list[int]":
     """Energies of opposite-parity 2-fold levels with no representation in `mode`.
 
-    Walks only the doublet levels (`Spectrum.iter_levels`), so no other
-    level is built, and runs `rep_search`, the Z[sqrt(-3)] solve of
-    `spectrum._rep_tuples`, once per doublet level.  `doublet_coverage`
-    gives the same answer per level (`DoubletCoverage.covered`) together
-    with the tallies, in one walk; `verify` reads it there, and this check
-    stays the library's stand-alone route.  Raises ValueError, before
-    walking anything, for a mode that is not a `RepMode`.
+    The doublet levels that `doublet_coverage` finds not `covered`: one
+    walk of the doublet levels, whose search in `mode` decides each.  No
+    command calls it; `verify` reads `doublet_coverage` itself.  Raises
+    ValueError, before walking anything, for a mode that is not a
+    `RepMode`.
     """
-    if not isinstance(mode, RepMode):
-        raise ValueError(f"mode must be a RepMode, got {mode!r}")
-    return [level.energy for level in spectrum.iter_levels(Parity.OPPOSITE, 2)
-            if not rep_search(level.energy, mode)]
+    return [c.energy for c in doublet_coverage(spectrum, mode) if not c.covered]
 
 
 @dataclass(frozen=True)
@@ -200,8 +195,8 @@ def doublet_coverage(
     doublet level: only those levels are walked (`Spectrum.iter_levels`).
 
     Each level gets three searches back to back: the search in `mode`,
-    whose result is `covered` (as `check_brahmagupta_conjecture` decides
-    it), then a factorization search and a strict search for the tallies.
+    whose result is `covered` (which `check_brahmagupta_conjecture`
+    reads), then a factorization search and a strict search for the tallies.
     The first solves the energy and builds its reps once; `rep_search`
     keeps the reps of the last energy, so the other two build nothing, and
     each level is solved once in either mode.  `all_integer_count` probes

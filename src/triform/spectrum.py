@@ -182,10 +182,12 @@ class Spectrum:
         process takes half a worker's share; on two CPUs, a census at 10^8
         took 2.7 s this way against 3.1 s with one window in two (4.3 s on
         one CPU; 2-vCPU x86, Python 3.11).  A built table, one window or
-        one CPU forks nothing.  A worker writes its windows to its own pipe,
+        one CPU forks nothing.  A worker writes its windows to its one pipe,
         sized to hold one (`_count_worker`, `_deepen`), so it stripes the
         next while the last waits, and this process reads each back when
-        its turn comes.  A worker that dies raises RuntimeError.  The
+        its turn comes.  A window's counts depend on lo, hi and e_max alone,
+        so this process stripes any window whose read comes up short, as
+        its own: the worker hit a count above 255, died or was killed.  The
         `finally` closes the pipes, then kills and reaps every worker, also
         on an early stop, so that no stop waits on a window being striped
         or on a worker of a second open stripe, which holds this stripe's
@@ -194,7 +196,8 @@ class Spectrum:
         it leaves.
 
         A byte holds 255 states at most, and a count above that raises
-        ValueError rather than wrapping, in whichever process.  Realized
+        ValueError rather than wrapping; a worker that meets one stops, and
+        this process, striping that window again, raises it.  Realized
         degeneracies stay far below it: g(E) = floor(eps(E) * d(E) / 2),
         with d(E) the divisor count over the primes p = 1 (mod 3), first
         passes 255 only near E = 10^12 (the largest g is 108 up to 10^9 and
@@ -205,56 +208,52 @@ class Spectrum:
         bounds = [(lo, min(lo + _COUNT_WINDOW, end)) for lo in range(0, end, _COUNT_WINDOW)]
         cpus = 1 if self._counts is not None else _cpus()
         owners = [(i % (2 * cpus - 1) + 1) // 2 for i in range(len(bounds))]
-        pipes: "list[tuple[io.BufferedReader, io.BufferedReader]]" = []  # worker j's (data, errors) at j - 1
+        readers: "list[io.BufferedReader]" = []  # worker j's at j - 1
         pids = []
         try:
             for j in range(1, max(owners) + 1):
-                data, errors = os.pipe(), os.pipe()
-                pipes.append((open(data[0], "rb"), open(errors[0], "rb")))
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
                 try:
-                    _deepen(data[1])
+                    _deepen(w)
                     pid = os.fork()
                     if pid == 0:
                         mine = [b for b, owner in zip(bounds, owners) if owner == j]
-                        self._count_worker(pipes, data[1], errors[1], mine, squares)
+                        self._count_worker(readers, w, mine, squares)
                     pids.append(pid)
                 finally:
-                    os.close(data[1])  # only a worker may hold the write ends
-                    os.close(errors[1])
+                    os.close(w)  # only a worker may hold the write end
             for (lo, hi), owner in zip(bounds, owners):
-                if owner:
-                    yield lo, _read_window(*pipes[owner - 1], hi - lo, lo)
-                else:
-                    yield lo, self._window_counts(lo, hi, squares)
+                counts = bytearray(hi - lo) if owner else None
+                if counts is None or readers[owner - 1].readinto(counts) < hi - lo:
+                    # this process's window, or one its worker did not deliver
+                    counts = self._window_counts(lo, hi, squares)
+                yield lo, counts
+                del counts  # hold no window while the next one is made
         finally:
-            for reader in itertools.chain.from_iterable(pipes):
+            for reader in readers:
                 reader.close()
             for pid in pids:
                 os.kill(pid, 9)  # SIGKILL, POSIX's 9
                 os.waitpid(pid, 0)
 
-    def _count_worker(self, inherited: "list[tuple[io.BufferedReader, io.BufferedReader]]", data: int,
-                      errors: int, bounds: "list[tuple[int, int]]", squares: "list[int]") -> None:
+    def _count_worker(self, inherited: "list[io.BufferedReader]", data: int,
+                      bounds: "list[tuple[int, int]]", squares: "list[int]") -> None:
         """A forked worker: close the `inherited` read ends, then write the
-        counts of each window [lo, hi) of `bounds` to the fd `data`, or the
-        message of a ValueError to the fd `errors`, and stop.  The stripe
-        that forked it then holds the only read ends, so a write fails once
-        they are gone.  It leaves only through `os._exit`, so no stdout
-        buffered before the fork is written twice."""
-        code = 1
+        counts of each window [lo, hi) of `bounds` to the fd `data`, and
+        stop at the first window it cannot stripe or write.  The stripe that
+        forked it then holds the only read ends, so a write fails once they
+        are gone.  It leaves only through `os._exit`, so no stdout buffered
+        before the fork is written twice."""
         try:
-            for reader in itertools.chain.from_iterable(inherited):
+            for reader in inherited:
                 reader.close()
             with open(data, "wb") as pipe:
-                try:
-                    for lo, hi in bounds:
-                        pipe.write(self._window_counts(lo, hi, squares))
-                        pipe.flush()  # a small window would wait in the buffer
-                except ValueError as exc:
-                    os.write(errors, str(exc).encode())
-            code = 0
+                for lo, hi in bounds:
+                    pipe.write(self._window_counts(lo, hi, squares))
+                    pipe.flush()  # a small window would wait in the buffer
         finally:
-            os._exit(code)
+            os._exit(0)
 
     def _window_counts(self, lo: int, hi: int, squares: "list[int]") -> bytearray:
         """The counts of the energies [lo, hi); squares[n2] is n2^2.  Once the
@@ -471,20 +470,6 @@ def _deepen(fd: int) -> None:
         fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
     except (AttributeError, OSError):
         pass
-
-
-def _read_window(data: "io.BufferedReader", errors: "io.BufferedReader", size: int, lo: int) -> bytearray:
-    """The next window of `size` counts from a worker's `data` pipe, in a
-    fresh `bytearray`.  Raises the worker's ValueError, with the message it
-    wrote to `errors`, or RuntimeError when the worker stopped before
-    writing the whole window."""
-    counts = bytearray(size)
-    if data.readinto(counts) == size:
-        return counts
-    message = errors.read().decode()
-    if message:
-        raise ValueError(message)
-    raise RuntimeError(f"the count worker of the window at {lo} stopped before writing it")
 
 
 def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":

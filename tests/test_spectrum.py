@@ -399,7 +399,6 @@ def test_forked_windows_equal_one_process(monkeypatch, forks, cpus):
 
 def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 2)
-    parent = os.getpid()
     window_counts = Spectrum._window_counts
     overflow = bytearray(1)
     with pytest.raises(ValueError) as raised:
@@ -407,8 +406,8 @@ def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
     message = str(raised.value)
 
     def planted(self, lo, hi, squares):
-        if lo == 256 and os.getpid() != parent:
-            overflow[0] += 256  # a count above 255, in the worker
+        if lo == 256:
+            overflow[0] += 256  # a count above 255, in whichever process stripes it
         return window_counts(self, lo, hi, squares)
 
     monkeypatch.setattr(Spectrum, "_window_counts", planted)
@@ -422,28 +421,45 @@ def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
 
 
 @pytest.mark.parametrize("stop", ["dies", "cuts its last window short"])
-def test_a_worker_that_stops_early_raises_runtime_error(monkeypatch, forks, stop):
+def test_a_worker_that_stops_early_leaves_its_windows_to_this_process(monkeypatch, forks, stop):
     # 16 windows on 3 CPUs: the first worker has windows 1, 2, 6, 7, 11, 12,
     # the second 3, 4, 8, 9, 13, 14, and this process 0, 5, 10, 15
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
+    alone = list(enumerate_spectrum(1000).count_windows())
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 3)
     parent = os.getpid()
     window_counts = Spectrum._window_counts
-    at = 6 * 64 if stop == "dies" else 14 * 64
+    at, undelivered = (6, [6, 7, 11, 12]) if stop == "dies" else (14, [14])
+    striped_here = []
 
     def planted(self, lo, hi, squares):
         counts = window_counts(self, lo, hi, squares)
-        if lo == at and os.getpid() != parent:
+        if os.getpid() == parent:
+            striped_here.append(lo // 64)
+        elif lo == at * 64:
             if stop == "dies":
                 os._exit(3)
             del counts[-1]
         return counts
 
     monkeypatch.setattr(Spectrum, "_window_counts", planted)
-    windows = enumerate_spectrum(1000).count_windows()
-    assert [lo for lo, _ in itertools.islice(windows, at // 64)] == list(range(0, at, 64))
-    with pytest.raises(RuntimeError, match=f"window at {at} "):
-        next(windows)
+    assert list(enumerate_spectrum(1000).count_windows()) == alone
+    assert striped_here == sorted([0, 5, 10, 15] + undelivered)
     assert len(forks) == 2
+
+
+def test_a_worker_killed_mid_stripe_leaves_its_windows_to_this_process(monkeypatch, forks):
+    # Windows of 2 MB overfill a pipe of 1 MB, so the worker, with windows
+    # 1, 2 and 4 of 5, cannot have written its first whole when it is killed
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 1 << 21)
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
+    alone = list(enumerate_spectrum(1 << 23).count_windows())
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 2)
+    windows = enumerate_spectrum(1 << 23).count_windows()
+    assert next(windows) == alone[0]
+    assert len(forks) == 1
+    os.kill(forks[0], signal.SIGKILL)
+    assert list(windows) == alone[1:]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
