@@ -9,9 +9,11 @@ record that holds the library's values as they were produced (a state or
 seed stays the tuple the library made, a list of them stays a list), and
 hands it to `_render`.  The three formats are views of that record: JSON
 dumps it, CSV projects a list of row records onto a header through one
-cell rule (`_cell`: a tuple is a pair, a list joins its cells), and the
-table is a list of lines read off the same records.  No view goes back to
-the domain objects.
+cell rule (`_cell`: a tuple is a pair, a list joins its cells) and writes
+each line as its cells joined by commas, the rule `spectrum`'s CSV shares
+(no cell needs quoting: a number, a name, or digits joined by ':', ';' and
+'/'), and the table is a list of lines read off the same records.  No view
+goes back to the domain objects.
 
 Three JSON views are templates instead, written piece by piece in bytes
 equal to the `json.dump` of the whole document: with `indent` set, `json`
@@ -38,7 +40,6 @@ back the same way, round-tripping exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -49,7 +50,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .brahmagupta import (
     BrahmaguptaRep,
     RepMode,
-    _strict,
     classify_rep,
     doublet_from_rep,
     identity_expand,
@@ -93,9 +93,17 @@ def parse_rational(text: str) -> Fraction:
 _MAX_DIGITS = 700
 
 
-class _TooManyDigits(Exception):
-    """An argument spells more digits than the bound.  Not a ValueError, so
-    argparse lets it through to `main`, which reports it on one line."""
+# The least energy of more than 255 states, 4*7^2*13*19*31*37*43*61 with 288
+# of them.  The count stripe holds a state count in one byte, so a spectrum,
+# census or verify that reaches it would stripe for hours, then fail, and at
+# 10^20 the tables it sets up first fill memory.  So --emax stays below it.
+_EMAX_BOUND = 145_651_423_372
+
+
+class _OutOfBounds(Exception):
+    """An argument past its bound: a number that spells too many digits, or
+    an --emax of `_EMAX_BOUND` or more.  Not a ValueError, so argparse lets
+    it through to `main`, which reports it on one line."""
 
 
 def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
@@ -117,11 +125,23 @@ def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
                 pass  # not a number, which `parse` reports
         if size > bound:
             shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-            raise _TooManyDigits(f"{shown} spells more than {bound} digits")
+            raise _OutOfBounds(f"{shown} spells more than {bound} digits")
         return parse(text)
 
     bounded.__name__ = parse.__name__  # argparse names a malformed value by it
     return bounded
+
+
+def _emax(text: str) -> int:
+    """--emax as an int, refused from `_EMAX_BOUND` on."""
+    e_max = int(text)
+    if e_max >= _EMAX_BOUND:
+        raise _OutOfBounds(f"--emax must be below {_EMAX_BOUND}, the least energy "
+                           f"of more than 255 states")
+    return e_max
+
+
+_emax.__name__ = "int"  # argparse names a malformed value by it
 
 
 def _fail_usage(message: str) -> int:
@@ -145,15 +165,14 @@ def _cell(value) -> str:
 def _render(args: argparse.Namespace, doc: dict, header: "list[str]", rows: "Iterable[dict]",
             table: "Callable[[dict, Iterable[dict]], Iterable[str]]") -> None:
     """Write one command's result to stdout in the chosen --format: `doc` as
-    JSON, `rows` projected onto `header` as CSV, or the lines `table(doc, rows)`
-    returns."""
+    JSON, `rows` projected onto `header` as CSV lines of comma-joined cells,
+    or the lines `table(doc, rows)` returns."""
     if args.format == "json":
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(row[key]) for key in header] for row in rows)
+        lines = [header] + [[_cell(row[key]) for key in header] for row in rows]
+        sys.stdout.writelines(",".join(cells) + "\n" for cells in lines)
     else:
         sys.stdout.writelines(line + "\n" for line in table(doc, rows))
 
@@ -314,10 +333,9 @@ def cmd_level(args: argparse.Namespace) -> int:
         return 1
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
-    all_integer = strict = 0
-    for r in reps:
-        all_integer += (r.a | r.b) & 1 == 0  # v3 and v4 are integers when a and b are even
-        strict += _strict(r.v1, r.v2, r.a, r.b)
+    # v3 and v4 are integers when a and b are even
+    all_integer = sum((r.a | r.b) & 1 == 0 for r in reps)
+    strict = len(rep_search(level.energy, RepMode.STRICT))  # filters the reps just kept
     doc = {
         "energy": level.energy,
         "parity": _PARITY_NAME[level.energy % 4],
@@ -487,7 +505,7 @@ def cmd_braham_doublet(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     doublet = doublet_from_rep(rep)
     doc = {
-        "rep": [rep.v1, rep.v2, str(rep.v3), str(rep.v4)],
+        "rep": [rep.v1, rep.v2, _half_text(rep.a), _half_text(rep.b)],
         "energy": rep.energy,
         "first": tuple(map(str, doublet.first)),
         "second": tuple(map(str, doublet.second)),
@@ -521,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=FORMATS, default="table", help="output format")
     emax = argparse.ArgumentParser(add_help=False)
-    emax.add_argument("--emax", type=int, required=True, help="largest energy to include")
+    emax.add_argument("--emax", type=_emax, required=True, help="largest energy to include")
     mode = argparse.ArgumentParser(add_help=False)
     mode.add_argument("--mode", choices=[m.value for m in RepMode],
                       default=RepMode.FACTORIZATION.value)
@@ -585,7 +603,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (EmptySpectrumError, _TooManyDigits) as exc:
+    except (EmptySpectrumError, _OutOfBounds) as exc:
         return _fail_usage(str(exc))
     except BrokenPipeError:
         # The reader closed stdout: what is still buffered goes to devnull,

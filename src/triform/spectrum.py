@@ -90,19 +90,14 @@ class EnergyLevel:
     def __post_init__(self) -> None:
         if not self.states:
             raise ValueError("an energy level holds at least one state")
-        energy = self.energy
         prev = 0
         for s in self.states:
-            # one test per state, with no call: a state that fails it takes
-            # the checks one at a time, which name what failed
-            n1, n2 = s
-            if not (isinstance(n1, int) and isinstance(n2, int)
-                    and prev < n1 and 0 < n2 and 3 * n1 * n1 + n2 * n2 == energy):
-                if energy_of(s) != energy:
-                    raise ValueError(f"state {s} does not have energy {energy}")
-                if n1 <= prev:
-                    raise ValueError("states must be strictly ascending in n1")
-            prev = n1
+            # energy_of owns the rule for indices, and raises for a bad one
+            if energy_of(s) != self.energy:
+                raise ValueError(f"state {s} does not have energy {self.energy}")
+            if s[0] <= prev:
+                raise ValueError("states must be strictly ascending in n1")
+            prev = s[0]
 
     @property
     def degeneracy(self) -> int:
@@ -197,11 +192,13 @@ class Spectrum:
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping; a worker that meets one stops, and
-        this process, striping that window again, raises it.  Realized
-        degeneracies stay far below it: g(E) = floor(eps(E) * d(E) / 2),
-        with d(E) the divisor count over the primes p = 1 (mod 3), first
-        passes 255 only near E = 10^12 (the largest g is 108 up to 10^9 and
-        216 up to 10^11).
+        this process, striping that window again, raises it.  The first
+        count past 255 is at E = 145651423372 = 4*7^2*13*19*31*37*43*61,
+        with 288 states: g(E) = floor(eps(E) * d(E) / 2), with d(E) the
+        divisor count over the primes p = 1 (mod 3) and eps(E) 3 for
+        E = 0 (mod 4) and 1 for odd E, so a same-parity level needs d >= 171,
+        seven split primes with one squared (d = 192), and an odd one
+        d >= 512, which comes later (the largest g is 108 up to 10^9).
         """
         end = self._e_max + 1
         squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
@@ -392,8 +389,9 @@ class Spectrum:
         it reaches the state, so each level comes out sorted by n1.
         Explicit buckets given to the constructor are read instead.  The
         degeneracies are counted one byte per energy, so a level of more
-        than 255 states raises ValueError, as `count_windows` does; that
-        takes an E near 10^12, which no walk of the whole range reaches.
+        than 255 states raises ValueError, as `count_windows` does; the
+        first is at E = 145651423372 (288 states, see `count_windows`),
+        which no walk of the whole range reaches.
         """
         if self._buckets is not None:
             for energy in self:

@@ -356,6 +356,31 @@ def test_level_factors_the_energy_once(capsys, monkeypatch):
     assert runs == [4 * energy for energy in energies]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_level_counts_the_strict_reps_of_a_strict_search(capsys, monkeypatch, fmt):
+    # the strict count is the length of rep_search's STRICT list, the filter
+    # verify and `braham reps --mode strict` use, asked right after the
+    # FACTORIZATION search whose kept reps it filters
+    calls = []
+    search = cli.rep_search
+
+    def recorded(energy, mode=RepMode.FACTORIZATION):
+        reps = search(energy, mode)
+        calls.append((energy, mode, len(reps)))
+        return reps
+
+    monkeypatch.setattr(cli, "rep_search", recorded)
+    code, out, _ = run_cli(capsys, "level", "1000027", "--format", fmt)
+    assert code == 0
+    assert calls == [(1000027, RepMode.FACTORIZATION, 352), (1000027, RepMode.STRICT, 112)]
+    if fmt == "json":
+        assert json.loads(out)["rep_counts"]["strict"] == 112
+    elif fmt == "csv":
+        assert next(csv.DictReader(io.StringIO(out)))["strict_reps"] == "112"
+    else:
+        assert out.endswith(", 112 strict\n")
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_2700(capsys):
@@ -568,6 +593,36 @@ def test_oversized_number_is_refused_before_any_output(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"more than {cli._MAX_DIGITS} digits" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "census", "verify"])
+@pytest.mark.parametrize("e_max", ["145651423372", "100000000000000000000"])
+def test_an_emax_past_the_count_byte_is_refused_at_once(capsys, monkeypatch, command, e_max):
+    # E = 145651423372 has 288 states and a count byte holds 255: such a run
+    # striped for hours and then raised ValueError, and at 10^20 the window
+    # bounds alone filled memory.  A run that gets past the parser fails here
+    # before it walks anything.
+    def ran(e_max):
+        raise AssertionError(f"--emax {e_max} got past the parser")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", ran)
+    code, out, err = run_cli(capsys, command, "--emax", e_max, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "below 145651423372" in err
+
+
+def test_an_emax_below_the_bound_still_parses():
+    args = build_parser().parse_args(["census", "--emax", "145651423371"])
+    assert args.emax == 145651423371
+
+
+def test_importing_the_cli_leaves_csv_out():
+    # CSV lines are comma-joined cells, so the command path needs no csv module
+    code = "import sys, triform.cli; sys.exit('csv' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_oversized_exponent_is_refused_without_expanding_it():

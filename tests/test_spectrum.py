@@ -90,6 +90,17 @@ def test_level_of_196():
     assert level.states == (State(3, 13), State(5, 11), State(7, 7), State(8, 2))
 
 
+def test_first_level_past_a_count_byte():
+    # 4*7^2*13*19*31*37*43*61: g = floor(3*d/2) with d = 3*2^6 split-prime
+    # divisors, the least same-parity E with d >= 171; a count byte holds 255,
+    # so the CLI refuses an --emax from here on, while the solve and `[]`
+    # still read the level
+    energy = 145_651_423_372
+    assert energy == 4 * 7**2 * 13 * 19 * 31 * 37 * 43 * 61
+    assert level_of(energy).degeneracy == 288
+    assert enumerate_spectrum(energy)[energy] == level_of(energy)
+
+
 def test_level_of_absent():
     assert level_of(5) is None
     assert level_of(2) is None
@@ -621,8 +632,8 @@ def test_energy_level_validation():
     (((1, 5), (1, 5)), "states must be strictly ascending in n1"),
 ])
 def test_energy_level_names_the_first_failed_check(states, message):
-    # the per-state test is one expression; a state that fails it takes the
-    # checks one at a time, with the messages they had before
+    # each state goes through energy_of, which names a bad index, then the
+    # energy test, then the n1 order; the first state to fail names itself
     with pytest.raises(ValueError) as raised:
         EnergyLevel(28, states)
     assert str(raised.value) == message
