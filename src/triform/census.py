@@ -14,6 +14,7 @@ enumerated range.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,12 +68,15 @@ def build_census(spectrum: Spectrum) -> CensusReport:
 
     Reads only the count windows (`Spectrum.count_windows`), one at a time,
     never a state and never a whole-range table, so memory stays flat as
-    e_max grows.  The windows come in ascending order whichever process
-    striped them, and the tally of each runs here, in this process, while
-    the workers stripe the next ones.  A window starts at a multiple of 4,
-    so its same-parity energies, E = 0 (mod 4), are the slice c[0::4], and
-    its opposite-parity energies, the odd E, are c[1::2].  Each row of the
-    histogram sums one `bytes.count` per slice and window (`_tally`).
+    e_max grows.  Each window is tallied by the process that striped it
+    (`window_tally` below), which hands back three lists of ints: the
+    same-parity and the opposite-parity histogram of the window and its
+    Perrin exceptions.  They come back in ascending window order, and are
+    added up here in that order, so the report does not depend on how many
+    CPUs striped the windows.  A window starts at a multiple of 4, so its
+    same-parity energies, E = 0 (mod 4), are the slice c[0::4], and its
+    opposite-parity energies, the odd E, are c[1::2].  Each row of a
+    window's histogram is one `bytes.count` of a slice (`_tally`).
 
     Perrin tally: a same-parity 3-fold level holds a triplet exactly when
     some seed (m1, m2), m2 > m1 >= 1, has its energy 4*(m1^2 + m1*m2 + m2^2),
@@ -91,13 +95,10 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     (1, 1, n1/2, n2/2) of its own energy, (3+1)*(3*n1^2+n2^2)/4 = E.
     `check_brahmagupta_conjecture` is the search-based route.
     """
-    # levels[parity][g - 1]: number of levels of degeneracy g
-    levels: "dict[Parity, list[int]]" = {Parity.SAME: [], Parity.OPPOSITE: []}
-    perrin_exceptions = []
     squares = [n2 * n2 for n2 in range(math.isqrt(spectrum.e_max) + 1)]
-    for lo, counts in spectrum.count_windows():
-        _tally(levels[Parity.SAME], counts[0::4])
-        _tally(levels[Parity.OPPOSITE], counts[1::2])
+
+    def window_tally(lo: int, counts: bytearray) -> "list[list[int]]":
+        found = [_tally(counts[0::4]), _tally(counts[1::2]), []]
         for n1, offset, first, stop in _stripes(lo, lo + len(counts)):
             if stop <= 3 * n1 + 1:
                 break  # no seed state for this n1 or any larger one
@@ -107,8 +108,17 @@ def build_census(spectrum: Spectrum) -> CensusReport:
         unmatched = counts[0::4]
         q = unmatched.find(3)
         while q >= 0:
-            perrin_exceptions.append(lo + 4 * q)
+            found[2].append(lo + 4 * q)
             q = unmatched.find(3, q + 1)
+        return found
+
+    # levels[parity][g - 1]: number of levels of degeneracy g
+    levels: "dict[Parity, list[int]]" = {Parity.SAME: [], Parity.OPPOSITE: []}
+    perrin_exceptions: "list[int]" = []
+    for *histograms, exceptions in spectrum.count_windows(window_tally):
+        for by_g, found in zip(levels.values(), histograms):
+            by_g[:] = map(sum, itertools.zip_longest(by_g, found, fillvalue=0))
+        perrin_exceptions += exceptions
 
     rows = []
     for parity, by_g in levels.items():
@@ -125,21 +135,18 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     )
 
 
-def _tally(by_g: "list[int]", counts: bytearray) -> None:
-    """Add to by_g[g - 1] the number of entries of `counts` equal to g, for
-    every g >= 1.  The zeros go first, and the counting stops as soon as the
-    levels counted reach the nonzero entries, so it never scans for a g that
-    no entry holds."""
+def _tally(counts: bytearray) -> "list[int]":
+    """The number of entries of `counts` equal to g at index g - 1, for g
+    from 1 up to the largest entry.  The zeros go first, and the counting
+    stops as soon as the entries counted reach the nonzero ones, so it
+    never scans for a g that no entry holds."""
     nonzero = counts.translate(None, b"\0")
-    seen = g = 0
+    by_g: "list[int]" = []
+    seen = 0
     while seen < len(nonzero):
-        g += 1
-        found = nonzero.count(g)
-        if g > len(by_g):
-            by_g.append(found)
-        else:
-            by_g[g - 1] += found
-        seen += found
+        by_g.append(nonzero.count(len(by_g) + 1))
+        seen += by_g[-1]
+    return by_g
 
 
 def check_perrin_conjecture(spectrum: Spectrum) -> "list[int]":

@@ -22,11 +22,11 @@ from __future__ import annotations
 import bisect
 import io
 import itertools
+import marshal
 import math
-import operator
 import os
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -113,16 +113,17 @@ class Spectrum:
 
     Nothing is enumerated at construction.  Two stripes read the range,
     each afresh on every call and one window at a time: the count stripe
-    (`count_windows`) yields the state count of every energy, one window
-    of `_COUNT_WINDOW` energies at a time, striped by forked workers on
-    every CPU, and the level stripe (`_levels`) yields the states of every
-    level, one window of `_LEVEL_WINDOW` energies at a time.  `raw_items`
-    and `iter_levels` read the level stripe as index pairs, and
-    `text_levels` as text.  Each process holds one window and never the
-    whole range, so memory stays flat as e_max grows.
+    (`count_windows`) maps a function over the state counts of every
+    energy, one window of `_COUNT_WINDOW` energies at a time, each window
+    striped and mapped in one process of a round robin on every CPU, and
+    the level stripe (`_levels`) yields the states of every level, one
+    window of `_LEVEL_WINDOW` energies at a time.  `raw_items` and
+    `iter_levels` read the level stripe as index pairs, and `text_levels`
+    as text.  Each process holds one window and never the whole range, so
+    memory stays flat as e_max grows.
 
     The one store is the count table (`degeneracies`), one byte per energy,
-    joined from the count windows on first use and cached, or built at
+    striped in this process on first use and cached, or built at
     construction from explicit buckets: iteration (the realized energies,
     ascending), `len`, `degeneracy_of` and `in` read it.  `state_count`
     sums one square root per n1 instead, unless the buckets were given.
@@ -156,39 +157,36 @@ class Spectrum:
     def e_max(self) -> int:
         return self._e_max
 
-    def count_windows(self) -> "Iterator[tuple[int, bytearray]]":
-        """(lo, counts) for consecutive windows that cover 0..e_max: counts[i]
-        is the number of states of energy lo + i.
+    def count_windows(self, fn: "Callable[[int, bytearray], object]") -> Iterator[object]:
+        """fn(lo, counts) for consecutive windows that cover 0..e_max, in
+        ascending lo: counts[i] is the number of states of energy lo + i.
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` the caller may change, and the windows come in
-        ascending lo.  The stripe adds 1 at 3*n1^2 + n2^2 for every state in
-        the window (`_window_counts`), unless the count table is already
-        built (`degeneracies`, or the constructor from explicit buckets):
-        then each window is a copy of its slice.
+        fresh `bytearray` that fn may change.  The stripe adds 1 at
+        3*n1^2 + n2^2 for every state in the window (`_window_counts`),
+        unless the count table is already built (`degeneracies`, or the
+        constructor from explicit buckets): then each window is a copy of
+        its slice.
 
-        Forked workers stripe most windows, on the CPUs of the affinity
-        mask (`_cpus`).  With c of them, window i goes to the process
-        (i mod (2c - 1) + 1) // 2: 0 is this one, which stripes one window
-        in 2c - 1 and also gets every window to the caller, and each of the
-        c - 1 workers stripes two.  The caller's work on a window (the
-        census tally, about half a stripe at 10^8) runs here, so this
-        process takes half a worker's share; on two CPUs, a census at 10^8
-        took 2.7 s this way against 3.1 s with one window in two (4.3 s on
-        one CPU; 2-vCPU x86, Python 3.11).  A built table, one window or
-        one CPU forks nothing.  A worker writes its windows to its one pipe,
-        sized to hold one (`_count_worker`, `_deepen`), so it stripes the
-        next while the last waits, and this process reads each back when
-        its turn comes.  A window's counts depend on lo, hi and e_max alone,
-        so this process stripes any window whose read comes up short, as
-        its own: the worker hit a count above 255, died or was killed.  The
-        `finally` closes the pipes, then kills and reaps every worker, also
-        on an early stop, so that no stop waits on a window being striped
-        or on a worker of a second open stripe, which holds this stripe's
-        read ends.  A worker closes the read ends it inherits, so once its
-        reader is gone (this process killed, say) its next write fails and
-        it leaves.
+        The windows are striped on the CPUs of the affinity mask (`_cpus`).
+        With c of them, window i goes to process i mod c: 0 is this one,
+        and each of the other c - 1 is a worker forked for this stripe, so
+        a stripe forks min(c, windows) - 1 of them.  The process that
+        stripes a window runs fn on it, and a worker writes only fn's
+        result to its one pipe, with `marshal` (`_count_worker`): ints,
+        bytes, lists and the like, which come back as equal values (a
+        bytearray as bytes).  This process reads the results back in window
+        order.  A window's counts depend on lo and e_max alone, so this
+        process stripes and maps any window whose result does not arrive
+        whole (`_delivered`), as its own: the worker hit a count above 255,
+        made a result `marshal` cannot write, died or was killed.  A built
+        table or one CPU forks nothing.  The `finally` closes the pipes,
+        then kills and reaps every worker, also on an early stop, so that no
+        stop waits on a window being striped or on a worker of a second open
+        stripe, which holds this stripe's read ends.  A worker closes the
+        read ends it inherits, so once its reader is gone (this process
+        killed, say) its next write fails and it leaves.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping; a worker that meets one stops, and
@@ -200,33 +198,28 @@ class Spectrum:
         seven split primes with one squared (d = 192), and an odd one
         d >= 512, which comes later (the largest g is 108 up to 10^9).
         """
-        end = self._e_max + 1
         squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
-        bounds = [(lo, min(lo + _COUNT_WINDOW, end)) for lo in range(0, end, _COUNT_WINDOW)]
-        cpus = 1 if self._counts is not None else _cpus()
-        owners = [(i % (2 * cpus - 1) + 1) // 2 for i in range(len(bounds))]
+        starts = range(0, self._e_max + 1, _COUNT_WINDOW)
+        cpus = min(1 if self._counts is not None else _cpus(), len(starts))
         readers: "list[io.BufferedReader]" = []  # worker j's at j - 1
         pids = []
         try:
-            for j in range(1, max(owners) + 1):
+            for j in range(1, cpus):
                 r, w = os.pipe()
                 readers.append(open(r, "rb"))
                 try:
-                    _deepen(w)
                     pid = os.fork()
                     if pid == 0:
-                        mine = [b for b, owner in zip(bounds, owners) if owner == j]
-                        self._count_worker(readers, w, mine, squares)
+                        _count_worker(readers, w, (fn(lo, self._window_counts(lo, squares))
+                                                   for lo in starts[j::cpus]))
                     pids.append(pid)
                 finally:
                     os.close(w)  # only a worker may hold the write end
-            for (lo, hi), owner in zip(bounds, owners):
-                counts = bytearray(hi - lo) if owner else None
-                if counts is None or readers[owner - 1].readinto(counts) < hi - lo:
-                    # this process's window, or one its worker did not deliver
-                    counts = self._window_counts(lo, hi, squares)
-                yield lo, counts
-                del counts  # hold no window while the next one is made
+            for i, lo in enumerate(starts):
+                result = _delivered(readers[i % cpus - 1]) if i % cpus else None
+                if result is None:  # this process's window, or one its worker did not deliver
+                    result = (fn(lo, self._window_counts(lo, squares)),)
+                yield result[0]
         finally:
             for reader in readers:
                 reader.close()
@@ -234,29 +227,13 @@ class Spectrum:
                 os.kill(pid, 9)  # SIGKILL, POSIX's 9
                 os.waitpid(pid, 0)
 
-    def _count_worker(self, inherited: "list[io.BufferedReader]", data: int,
-                      bounds: "list[tuple[int, int]]", squares: "list[int]") -> None:
-        """A forked worker: close the `inherited` read ends, then write the
-        counts of each window [lo, hi) of `bounds` to the fd `data`, and
-        stop at the first window it cannot stripe or write.  The stripe that
-        forked it then holds the only read ends, so a write fails once they
-        are gone.  It leaves only through `os._exit`, so no stdout buffered
-        before the fork is written twice."""
-        try:
-            for reader in inherited:
-                reader.close()
-            with open(data, "wb") as pipe:
-                for lo, hi in bounds:
-                    pipe.write(self._window_counts(lo, hi, squares))
-                    pipe.flush()  # a small window would wait in the buffer
-        finally:
-            os._exit(0)
-
-    def _window_counts(self, lo: int, hi: int, squares: "list[int]") -> bytearray:
-        """The counts of the energies [lo, hi); squares[n2] is n2^2.  Once the
-        whole table is built (by `degeneracies`, or at construction from
-        explicit buckets), a window is a copy of its slice, so a census
-        after `len` or `degeneracy_of` does not stripe the range again."""
+    def _window_counts(self, lo: int, squares: "list[int]") -> bytearray:
+        """The counts of the window of energies that starts at lo, up to
+        `_COUNT_WINDOW` of them; squares[n2] is n2^2.  Once the whole table
+        is built (by `degeneracies`, or at construction from explicit
+        buckets), a window is a copy of its slice, so a census after `len`
+        or `degeneracy_of` does not stripe the range again."""
+        hi = min(lo + _COUNT_WINDOW, self._e_max + 1)
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
         counts = bytearray(hi - lo)
@@ -268,20 +245,23 @@ class Spectrum:
     def degeneracies(self) -> bytes:
         """Number of states of every energy 0..e_max, one byte each (index = energy).
 
-        The count windows (`count_windows`) written one after the other into
-        a buffer sized for the whole table, whose bytes `getvalue` hands
-        over without a copy (CPython): the build holds the table and one
-        window, where a `bytearray` table and its `bytes` copy took twice
-        the table.
+        The count windows (`_window_counts`), striped in this process one
+        after the other and written into a buffer sized for the whole table,
+        whose bytes `getvalue` hands over without a copy (CPython): the
+        build holds the table and one window, where a `bytearray` table and
+        its `bytes` copy took twice the table.  A forked worker's window
+        would arrive twice, in the pipe's read buffer and as the decoded
+        bytes, and no command builds the table, so nothing is forked.
         Raises ValueError, as the windows do, for a count above 255.
         """
         if self._counts is None:
+            squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
             table = io.BytesIO()
             table.seek(self._e_max)
             table.write(b"\0")  # size the buffer once, zero-filled
             table.seek(0)
-            # map keeps no window alive while the next one is built
-            table.writelines(map(operator.itemgetter(1), self.count_windows()))
+            for lo in range(0, self._e_max + 1, _COUNT_WINDOW):
+                table.write(self._window_counts(lo, squares))
             self._counts = table.getvalue()
         return self._counts
 
@@ -447,27 +427,43 @@ _COUNT_WINDOW = 1 << 20
 
 
 def _cpus() -> int:
-    """The processes `Spectrum.count_windows` may stripe on: the CPUs of
-    the affinity mask, or 1 without `os.fork` or while a second thread
+    """The processes `Spectrum.count_windows` stripes and maps its windows
+    on, round robin, this one and a forked worker for each other: the CPUs
+    of the affinity mask, or 1 without `os.fork` or while a second thread
     runs, which could hold a lock that a forked child never sees released."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _deepen(fd: int) -> None:
-    """Size the pipe that `fd` writes to at 1 MB, one count window of
-    `_COUNT_WINDOW` and Linux's bound for a process without privileges
-    (/proc/sys/fs/pipe-max-size), so that a worker need not wait for its
-    last window to be read before it stripes the next.  Elsewhere, or past
-    the user's pipe quota, the pipe keeps its size: the windows come out
-    the same, with less overlap."""
-    import fcntl  # POSIX, as os.fork is
-
+def _count_worker(inherited: "list[io.BufferedReader]", fd: int, results: Iterable[object]) -> None:
+    """A forked worker of `Spectrum.count_windows`: close the `inherited`
+    read ends, then make each of `results`, which stripes and maps one
+    window, and write it to the pipe `fd` as one `marshal` record; stop at
+    the first result it cannot make or write.  The stripe that forked it
+    then holds the only read ends, so a write fails once they are gone.  It
+    leaves only through `os._exit`, so no stdout buffered before the fork
+    is written twice."""
     try:
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except (AttributeError, OSError):
-        pass
+        for reader in inherited:
+            reader.close()
+        with open(fd, "wb") as pipe:
+            for result in results:
+                marshal.dump(result, pipe)
+                pipe.flush()  # a small result would wait in the buffer
+    finally:
+        os._exit(0)
+
+
+def _delivered(reader: "io.BufferedReader") -> "Optional[tuple[object]]":
+    """(result,) for the next `marshal` record a count worker wrote to
+    `reader`, or None when none arrives whole: the pipe ended, or a record
+    was cut short, because the worker hit a count above 255, died or was
+    killed."""
+    try:
+        return (marshal.load(reader),)
+    except (EOFError, ValueError):
+        return None
 
 
 def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":

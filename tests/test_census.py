@@ -122,8 +122,8 @@ def test_forked_census_equals_one_process_and_the_bucket_census(monkeypatch, for
         monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
         spectrum = enumerate_spectrum(e_max)
         assert build_census(spectrum) == alone == oracles.bucket_census(spectrum), e_max
-    # every e_max from 64 up has two windows or more, so forks a worker
-    assert len(forks) >= sum(e_max >= 64 for e_max in e_maxes)
+    # e_max // 64 + 1 windows, and window i goes to process i mod cpus
+    assert len(forks) == sum(min(cpus, e_max // 64 + 1) - 1 for e_max in e_maxes)
 
 
 @pytest.mark.parametrize("window", [4, 8, 64, 1024, _COUNT_WINDOW])

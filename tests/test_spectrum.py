@@ -1,5 +1,6 @@
 import itertools
 import json
+import marshal
 import math
 import os
 import random
@@ -12,6 +13,7 @@ import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -294,6 +296,13 @@ def test_degeneracies_table(spectrum_2700, naive_2700):
     assert spectrum_2700.degeneracies() is counts
 
 
+def _pair(lo, counts):
+    """The count stripe's map for tests: each window as (lo, counts).  A
+    worker's counts come back as bytes, which compare equal to the
+    bytearray of the same window."""
+    return lo, counts
+
+
 def test_degeneracies_hold_the_table_and_one_window(monkeypatch):
     # a bytearray table and its bytes copy, held together, peaked at twice the table
     window = 1 << 16
@@ -305,16 +314,20 @@ def test_degeneracies_hold_the_table_and_one_window(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert counts == b"".join(c for _, c in spectrum.count_windows())
+    assert counts == b"".join(c for _, c in spectrum.count_windows(_pair))
     assert peak < len(counts) + 2 * window, f"peak {peak / 2**10:.0f} KB"
 
 
 @pytest.mark.parametrize("window", [4, 64, 1 << 20])
 def test_count_windows_cover_the_range(monkeypatch, naive_2700, window):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
-    windows = list(enumerate_spectrum(2700).count_windows())
+
+    def checked(lo, counts):
+        assert isinstance(counts, bytearray)  # in whichever process stripes it
+        return lo, counts
+
+    windows = list(enumerate_spectrum(2700).count_windows(checked))
     assert [lo for lo, _ in windows] == list(range(0, 2701, window))
-    assert all(isinstance(c, bytearray) for _, c in windows)
     assert b"".join(c for _, c in windows) == bytes(
         len(naive_2700.get(e, ())) for e in range(2701))
 
@@ -328,7 +341,7 @@ def test_count_windows_read_a_built_table(monkeypatch, naive_2700):
         raise AssertionError("striped again")
 
     monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
-    windows = list(spectrum.count_windows())
+    windows = list(spectrum.count_windows(_pair))  # off the table, in this process
     assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
     assert all(isinstance(c, bytearray) for _, c in windows)
     assert b"".join(c for _, c in windows) == table
@@ -345,7 +358,7 @@ def test_explicit_bucket_count_windows_never_stripe(monkeypatch):
         raise AssertionError("striped explicit buckets")
 
     monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
-    windows = list(spectrum.count_windows())
+    windows = list(spectrum.count_windows(_pair))
     assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
     assert b"".join(c for _, c in windows) == bytes(
         len(dict(items).get(e, ())) for e in range(2701))
@@ -361,7 +374,8 @@ def test_degeneracies_read_off_explicit_buckets():
 
 
 def test_degeneracies_raise_rather_than_wrap():
-    # 255 is the most a byte holds; realized degeneracies first pass it near 10^12
+    # 255 is the most a byte holds; realized degeneracies first pass it at
+    # E = 145651423372, with 288 states
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
     with pytest.raises(ValueError):  # at construction, which counts the buckets
         Spectrum(4, {4: [(1, 1)] * 256})
@@ -395,17 +409,39 @@ def test_state_count_of_explicit_buckets_sums_what_they_hold():
 def test_forked_windows_equal_one_process(monkeypatch, forks, cpus):
     for e_max in [4, 63, 64, 127, 128, 129, 191, 192, 193, 255, 256, 257, 1000, 2700]:
         monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
-        alone = list(enumerate_spectrum(e_max).count_windows())
+        alone = list(enumerate_spectrum(e_max).count_windows(_pair))
         forked = len(forks)
         monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
         spectrum = enumerate_spectrum(e_max)
-        assert list(spectrum.count_windows()) == alone
+        assert list(spectrum.count_windows(_pair)) == alone
         assert spectrum.degeneracies() == b"".join(c for _, c in alone)
-        assert list(spectrum.count_windows()) == alone  # off the built table, unforked
-        # each of the first two stripes forks a worker per CPU but one, and
-        # no more than one per two windows: window i goes to the process
-        # (i mod (2 * cpus - 1) + 1) // 2
-        assert len(forks) - forked == 2 * min(cpus - 1, len(alone) // 2), e_max
+        assert list(spectrum.count_windows(_pair)) == alone  # off the built table, unforked
+        # window i goes to process i mod cpus, so the first stripe forks a
+        # worker per CPU but one, and none for a CPU left without a window;
+        # the table is built in this process
+        assert len(forks) - forked == min(cpus, len(alone)) - 1, e_max
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_window_is_mapped_by_the_process_that_stripes_it(monkeypatch, forks, cpus):
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+    window_counts = Spectrum._window_counts
+    striper = {}
+
+    def recorded(self, lo, squares):
+        striper["pid"] = os.getpid()
+        return window_counts(self, lo, squares)
+
+    def mapped(lo, counts):
+        return lo, striper["pid"], os.getpid()
+
+    monkeypatch.setattr(Spectrum, "_window_counts", recorded)
+    results = list(enumerate_spectrum(1000).count_windows(mapped))
+    assert [lo for lo, _, _ in results] == list(range(0, 1001, 64))
+    assert len(forks) == cpus - 1
+    processes = [os.getpid(), *forks]
+    for i, (lo, striped_by, mapped_by) in enumerate(results):
+        assert striped_by == mapped_by == processes[i % cpus], lo
 
 
 def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
@@ -416,15 +452,15 @@ def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
         overflow[0] += 256
     message = str(raised.value)
 
-    def planted(self, lo, hi, squares):
-        if lo == 256:
+    def planted(self, lo, squares):
+        if lo == 320:
             overflow[0] += 256  # a count above 255, in whichever process stripes it
-        return window_counts(self, lo, hi, squares)
+        return window_counts(self, lo, squares)
 
     monkeypatch.setattr(Spectrum, "_window_counts", planted)
-    windows = enumerate_spectrum(1000).count_windows()
-    # on 2 CPUs the worker has windows 1, 2, 4, 5, ... and this process 0, 3, 6, ...
-    assert [lo for lo, _ in itertools.islice(windows, 4)] == [0, 64, 128, 192]
+    windows = enumerate_spectrum(1000).count_windows(_pair)
+    # on 2 CPUs the worker has windows 1, 3, 5, ... and this process 0, 2, 4, ...
+    assert [lo for lo, _ in itertools.islice(windows, 5)] == [0, 64, 128, 192, 256]
     with pytest.raises(ValueError) as raised:
         next(windows)
     assert str(raised.value) == message
@@ -433,40 +469,47 @@ def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
 
 @pytest.mark.parametrize("stop", ["dies", "cuts its last window short"])
 def test_a_worker_that_stops_early_leaves_its_windows_to_this_process(monkeypatch, forks, stop):
-    # 16 windows on 3 CPUs: the first worker has windows 1, 2, 6, 7, 11, 12,
-    # the second 3, 4, 8, 9, 13, 14, and this process 0, 5, 10, 15
+    # 16 windows on 3 CPUs: the first worker has windows 1, 4, 7, 10, 13,
+    # the second 2, 5, 8, 11, 14, and this process 0, 3, 6, 9, 12, 15
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
-    alone = list(enumerate_spectrum(1000).count_windows())
+    alone = list(enumerate_spectrum(1000).count_windows(_pair))
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 3)
     parent = os.getpid()
     window_counts = Spectrum._window_counts
-    at, undelivered = (6, [6, 7, 11, 12]) if stop == "dies" else (14, [14])
+    at, undelivered = (7, [7, 10, 13]) if stop == "dies" else (14, [14])
     striped_here = []
 
-    def planted(self, lo, hi, squares):
-        counts = window_counts(self, lo, hi, squares)
+    def planted(self, lo, squares):
         if os.getpid() == parent:
             striped_here.append(lo // 64)
-        elif lo == at * 64:
-            if stop == "dies":
-                os._exit(3)
-            del counts[-1]
-        return counts
+        elif lo == at * 64 and stop == "dies":
+            os._exit(3)
+        return window_counts(self, lo, squares)
+
+    def dump(result, pipe):
+        record = marshal.dumps(result)
+        if result[0] == at * 64:  # write part of the record, and leave
+            pipe.write(record[:len(record) // 2])
+            pipe.flush()
+            os._exit(0)
+        pipe.write(record)
 
     monkeypatch.setattr(Spectrum, "_window_counts", planted)
-    assert list(enumerate_spectrum(1000).count_windows()) == alone
-    assert striped_here == sorted([0, 5, 10, 15] + undelivered)
+    monkeypatch.setattr(spectrum_module, "marshal", SimpleNamespace(dump=dump, load=marshal.load))
+    assert list(enumerate_spectrum(1000).count_windows(_pair)) == alone
+    assert striped_here == sorted([0, 3, 6, 9, 12, 15] + undelivered)
     assert len(forks) == 2
 
 
 def test_a_worker_killed_mid_stripe_leaves_its_windows_to_this_process(monkeypatch, forks):
-    # Windows of 2 MB overfill a pipe of 1 MB, so the worker, with windows
-    # 1, 2 and 4 of 5, cannot have written its first whole when it is killed
+    # Results of 2 MB overfill a pipe of 64 KB, Linux's default, so the
+    # worker, with windows 1 and 3 of 5, cannot have written its first
+    # whole when it is killed
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 1 << 21)
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 1)
-    alone = list(enumerate_spectrum(1 << 23).count_windows())
+    alone = list(enumerate_spectrum(1 << 23).count_windows(_pair))
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: 2)
-    windows = enumerate_spectrum(1 << 23).count_windows()
+    windows = enumerate_spectrum(1 << 23).count_windows(_pair)
     assert next(windows) == alone[0]
     assert len(forks) == 1
     os.kill(forks[0], signal.SIGKILL)
@@ -475,13 +518,13 @@ def test_a_worker_killed_mid_stripe_leaves_its_windows_to_this_process(monkeypat
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_stopping_after_one_window_reaps_every_worker(monkeypatch, forks, cpus):
-    # Windows of 2 MB overfill a pipe of 1 MB, so a worker whose stripe
+    # Results of 2 MB overfill a pipe of 64 KB, so a worker whose stripe
     # stops is blocked on a write, and the workers of the second stripe hold
     # the read ends of the first stripe's pipes, forked before them: a
     # worker waited on but not killed would never see its pipe close.
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 1 << 21)
     monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
-    first, second = (enumerate_spectrum(1 << 23).count_windows() for _ in range(2))
+    first, second = (enumerate_spectrum(1 << 23).count_windows(_pair) for _ in range(2))
     for windows in (first, second):
         lo, counts = next(windows)
         assert lo == 0 and len(counts) == 1 << 21
@@ -507,7 +550,7 @@ def recorded():
     return pid
 
 os.fork = recorded
-windows = spectrum.enumerate_spectrum(1 << 23).count_windows()
+windows = spectrum.enumerate_spectrum(1 << 23).count_windows(lambda lo, counts: counts)
 next(windows)
 print("read", flush=True)
 sys.stdin.read()
@@ -528,7 +571,7 @@ def _running(pid):
 def test_workers_leave_when_the_census_process_is_killed(signame):
     # The process reading the stripe is killed after one window, so its
     # `finally` never runs.  Its two workers are blocked writing windows of
-    # 2 MB into pipes of 1 MB, and each must then fail the write and leave
+    # 2 MB into pipes of 64 KB, and each must then fail the write and leave
     # by itself, which it cannot while any worker holds a read end.
     src = Path(__file__).resolve().parents[1] / "src"
     census = subprocess.Popen(
@@ -549,19 +592,6 @@ def test_workers_leave_when_the_census_process_is_killed(signame):
     for pid in left:
         os.kill(pid, signal.SIGKILL)
     assert not left, f"workers outlived the census process: {left}"
-
-
-def test_a_worker_pipe_holds_a_whole_window():
-    fcntl = pytest.importorskip("fcntl")
-    if not hasattr(fcntl, "F_GETPIPE_SZ"):
-        pytest.skip("only Linux sizes a pipe")
-    r, w = os.pipe()
-    try:
-        spectrum_module._deepen(w)
-        assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) >= spectrum_module._COUNT_WINDOW
-    finally:
-        os.close(r)
-        os.close(w)
 
 
 def test_no_fork_without_fork_or_with_a_second_thread(monkeypatch):
