@@ -32,18 +32,22 @@ the classification work on those.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .spectrum import State, StateLike, _rep_tuples, energy_of
+from .spectrum import State, StateLike, _Record, _rep_tuples, energy_of
 
-Rational = Union[int, str, Fraction]
+# `fractions` (with `decimal` and `numbers`) is imported by each function
+# that makes a Fraction, so a command that makes none does not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Rational = Union[int, str, Fraction]
 
 
 def _frac(value: Rational) -> Fraction:
+    from fractions import Fraction
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -57,14 +61,13 @@ class RepClass(Enum):
     NEEDS_HALF_INTEGER = "half-integer"
 
 
-@dataclass(frozen=True)
-class IdentityExpansion:
-    """Both right-hand sides of the identity, with their common product."""
+class IdentityExpansion(_Record):
+    """Both right-hand sides of the identity, with their common product: the
+    `weight` m and the `product`, Fractions, and the pairs of Fractions
+    `minus_form` (v1*v4 - v2*v3, m*v1*v3 + v2*v4) and `plus_form`
+    (v1*v4 + v2*v3, m*v1*v3 - v2*v4)."""
 
-    weight: Fraction
-    product: Fraction
-    minus_form: "tuple[Fraction, Fraction]"  # (v1*v4 - v2*v3, m*v1*v3 + v2*v4)
-    plus_form: "tuple[Fraction, Fraction]"   # (v1*v4 + v2*v3, m*v1*v3 - v2*v4)
+    __slots__ = ("weight", "product", "minus_form", "plus_form")
 
     def evaluate(self, form: "tuple[Fraction, Fraction]") -> Fraction:
         x, y = form
@@ -87,8 +90,7 @@ def identity_expand(
     return IdentityExpansion(m, product, minus_form, plus_form)
 
 
-@dataclass(frozen=True, init=False)
-class BrahmaguptaRep:
+class BrahmaguptaRep(_Record):
     """A factorization E = (3*v1^2 + v2^2) * (3*v3^2 + v4^2).
 
     v1, v2 are positive integers; v3, v4 positive half-integers (multiples
@@ -98,23 +100,17 @@ class BrahmaguptaRep:
     non-integer rational; the product must equal the integer energy
     exactly: (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E.
 
-    The slots are declared here rather than by `slots=True`: on Python 3.10
-    to 3.13 that option rebuilds the class, and the frozen `__setattr__`
-    made for the class before it raises TypeError instead of
-    FrozenInstanceError for a name that is not a field.  Pickling and
-    `copy` rebuild a rep through the constructor (`__reduce__`), since the
-    frozen class cannot have its slots assigned.
+    The fields are v1, v2, a, b and energy, all ints.  `__new__` builds
+    and checks the rep, so the `__init__` of the base is not run, and
+    pickling and `copy` give the constructor v3 and v4 back (`_args`).
     """
 
     __slots__ = ("v1", "v2", "a", "b", "energy")
-
-    v1: int
-    v2: int
-    a: int
-    b: int
-    energy: int
+    _args = ("v1", "v2", "v3", "v4", "energy")
+    __init__ = object.__init__
 
     def __new__(cls, v1: int, v2: int, v3: Rational, v4: Rational, energy: int):
+        from fractions import Fraction
         return cls._all_of_doubled(((v1, v2, 2 * Fraction(v3), 2 * Fraction(v4)),), energy)[0]
 
     @classmethod
@@ -148,15 +144,14 @@ class BrahmaguptaRep:
             reps.append(rep)
         return reps
 
-    def __reduce__(self):
-        return (BrahmaguptaRep, (self.v1, self.v2, self.v3, self.v4, self.energy))
-
     @property
     def v3(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.a, 2)
 
     @property
     def v4(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.b, 2)
 
     @property
@@ -175,6 +170,7 @@ def _checked_ints(v1, v2, a, b, energy: int) -> "tuple[int, int, int, int]":
     half-integer exactly when 2*v3 has denominator 1, as an int has), and
     the product of forms 4*E.  Returns the four as ints; raises ValueError
     naming what failed."""
+    from fractions import Fraction
     v1, v2 = Fraction(v1), Fraction(v2)
     if v1 < 1 or v2 < 1 or v1.denominator != 1 or v2.denominator != 1:
         raise ValueError("v1 and v2 must be positive integers")
@@ -195,17 +191,15 @@ def classify_rep(rep: BrahmaguptaRep) -> RepClass:
     return RepClass.NEEDS_HALF_INTEGER
 
 
-@dataclass(frozen=True)
-class Doublet:
-    """The two index pairs produced from a representation.
+class Doublet(_Record):
+    """The two index pairs produced from a representation, `first` and
+    `second`, each a pair of Fractions, and their `energy`.
 
     Members are exact rationals; they are states only when all four entries
     are positive integers (reported, never raised).
     """
 
-    first: "tuple[Fraction, Fraction]"
-    second: "tuple[Fraction, Fraction]"
-    energy: int
+    __slots__ = ("first", "second", "energy")
 
     @property
     def is_state_pair(self) -> bool:
@@ -315,7 +309,7 @@ def _reps(energy: int) -> "tuple[BrahmaguptaRep, ...]":
 
 
 def inverse_rep(
-    first: StateLike, second: StateLike, xi: Rational = Fraction(1, 6)
+    first: StateLike, second: StateLike, xi: Rational = "1/6"
 ) -> "tuple[Fraction, Fraction, Fraction, Fraction]":
     """Exact-rational tuple (v1, v2, v3, v4) whose plus-resolved doublet is the pair.
 
@@ -349,5 +343,5 @@ def inverse_rep(
     v1 = (p2 + q2) * xi
     v2 = 3 * (q1 - p1) * xi
     v3 = 1 / (6 * xi)
-    v4 = Fraction(q1 + p1, 2 * (q2 + p2)) / xi
+    v4 = (q1 + p1) / (2 * (q2 + p2) * xi)
     return (v1, v2, v3, v4)

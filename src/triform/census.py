@@ -16,22 +16,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .brahmagupta import RepMode, rep_search
 from .perrin import match_perrin
-from .spectrum import Parity, Spectrum, _stripes
+from .spectrum import Parity, Spectrum, _Record, _stripes
 
 # Table-style reports always pad degeneracy rows out to these minimums so a
 # census at any e_max keeps the same row structure.
 _MIN_ROWS = {Parity.SAME: 9, Parity.OPPOSITE: 4}
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    parity: Parity
-    degeneracy: int
-    levels: int
+class CensusRow(_Record):
+    """The number of `levels` of one `parity` and `degeneracy`."""
+
+    __slots__ = ("parity", "degeneracy", "levels")
 
     @property
     def states(self) -> int:
@@ -39,14 +37,15 @@ class CensusRow:
         return self.levels * self.degeneracy
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    e_max: int
-    rows: "tuple[CensusRow, ...]"
-    perrin_total: int
-    perrin_matched: int
-    perrin_exceptions: "tuple[int, ...]"
-    brahmagupta_total: int
+class CensusReport(_Record):
+    """The census up to `e_max`: its `rows`, a tuple of `CensusRow`, the
+    same-parity 3-fold levels (`perrin_total`), how many of them match a
+    seed (`perrin_matched`), the energies of those that do not
+    (`perrin_exceptions`, a tuple), and the doublet levels
+    (`brahmagupta_total`)."""
+
+    __slots__ = ("e_max", "rows", "perrin_total", "perrin_matched", "perrin_exceptions",
+                 "brahmagupta_total")
 
     def rows_for(self, parity: Parity) -> "tuple[CensusRow, ...]":
         return tuple(r for r in self.rows if r.parity is parity)
@@ -172,27 +171,12 @@ def check_brahmagupta_conjecture(
     return [c.energy for c in doublet_coverage(spectrum, mode) if not c.covered]
 
 
-@dataclass(frozen=True)
-class DoubletCoverage:
-    """Representation tallies for one opposite-parity 2-fold level, and
-    whether the search in the mode asked of `doublet_coverage` found a rep.
-
-    `verify` holds one per doublet level, so the slots are declared, as
-    `brahmagupta.BrahmaguptaRep` declares them and for the same reason, and
-    pickling and `copy` rebuild a record through the constructor
-    (`__reduce__`).
-    """
+class DoubletCoverage(_Record):
+    """Representation tallies for one opposite-parity 2-fold level, all
+    ints, and whether the search in the mode asked of `doublet_coverage`
+    found a rep (`covered`, a bool)."""
 
     __slots__ = ("energy", "rep_count", "all_integer_count", "strict_count", "covered")
-
-    energy: int
-    rep_count: int
-    all_integer_count: int
-    strict_count: int
-    covered: bool
-
-    def __reduce__(self):
-        return (DoubletCoverage, tuple(getattr(self, name) for name in self.__slots__))
 
 
 def doublet_coverage(

@@ -44,8 +44,7 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .brahmagupta import (
     BrahmaguptaRep,
@@ -74,14 +73,22 @@ from .spectrum import (
     parity_of_energy,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 FORMATS = ("table", "json", "csv")
 
 
 def parse_rational(text: str) -> Fraction:
+    """`text` as a Fraction; `fractions` is imported only here, so only the
+    commands that take a rational load it."""
+    from fractions import Fraction
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r} (zero denominator)")
 
 
 # The most digits a number given to `braham doublet` or `braham inverse` may
@@ -584,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("n2", type=whole)
     b.add_argument("m1", type=whole)
     b.add_argument("m2", type=whole)
-    b.add_argument("--xi", type=rational, default=Fraction(1, 6))
+    # argparse parses a string default with `type`, and only for this command
+    b.add_argument("--xi", type=rational, default="1/6")
     b.set_defaults(func=cmd_braham_inverse)
 
     return parser

@@ -11,22 +11,24 @@ same-parity levels (the energy is divisible by 4).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Optional, Union
 
-from .spectrum import EnergyLevel, State
+from .spectrum import EnergyLevel, State, _Record
 
 
 class InvalidSeedError(ValueError):
     """Raised for seed pairs that are not ints with m2 > m1 >= 1."""
 
 
-@dataclass(frozen=True, order=True)
-class PerrinSeed:
-    m1: int
-    m2: int
+@total_ordering
+class PerrinSeed(_Record):
+    """A seed (m1, m2) of ints with m2 > m1 >= 1; seeds order as (m1, m2)."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("m1", "m2")
+
+    def __init__(self, m1: int, m2: int) -> None:
+        _Record.__init__(self, m1, m2)
         # a bool is an int, as in `energy_of`; a float, str or Fraction is not
         if not (isinstance(self.m1, int) and isinstance(self.m2, int)):
             raise InvalidSeedError(
@@ -36,6 +38,11 @@ class PerrinSeed:
             raise InvalidSeedError(
                 f"seed requires m2 > m1 >= 1, got ({self.m1}, {self.m2})"
             )
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
 
 
 SeedLike = Union[PerrinSeed, "tuple[int, int]"]
@@ -47,11 +54,10 @@ def _as_seed(seed: SeedLike) -> PerrinSeed:
     return PerrinSeed(*seed)
 
 
-@dataclass(frozen=True)
-class PerrinTriplet:
-    seed: PerrinSeed
-    energy: int
-    states: "tuple[State, State, State]"
+class PerrinTriplet(_Record):
+    """The `seed`, its `energy` and its three `states`, ascending in n1."""
+
+    __slots__ = ("seed", "energy", "states")
 
 
 def perrin_energy(seed: SeedLike) -> int:

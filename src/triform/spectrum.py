@@ -27,7 +27,6 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
@@ -74,9 +73,66 @@ def parity_of_energy(energy: int) -> Parity:
     raise ValueError(f"energy {energy} = 2 (mod 4) is not realizable")
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """The complete set of states sharing one energy, sorted by ascending n1.
+_SETATTR = object.__setattr__  # past the frozen __setattr__, into the slots
+
+
+class _Record:
+    """Base of the package's frozen records.  A subclass names its fields,
+    in order, in `__slots__`, and gets from them what a frozen dataclass
+    had: an `__init__` that takes each field by position or by keyword,
+    `dataclasses.FrozenInstanceError` on any set or delete, equality only
+    within one class (by the tuple of fields, which is also what it hashes),
+    the dataclass `repr`, and pickling and `copy` that rebuild a record
+    through its constructor, so its checks run again.  The constructor
+    takes back the attributes `_args` names, the fields unless a subclass
+    says otherwise.  `dataclasses` is imported only to raise its error: it
+    pulls in `inspect` and ten more modules, and decorating the records
+    with it took more than ten times the work of a `level` query."""
+
+    __slots__ = ()
+    _args: "Optional[tuple[str, ...]]" = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = {**dict(zip(names, args)), **kwargs}
+            if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(names)}; got "
+                                f"{len(args)} by position and {list(kwargs)} by keyword")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            _SETATTR(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple([getattr(self, name) for name in self._args or self.__slots__]))
+
+
+class EnergyLevel(_Record):
+    """The complete set of states sharing one energy, sorted by ascending n1:
+    `energy`, an int, and `states`, a tuple of `State`.
 
     n1 values within a level are necessarily distinct (n2 is determined up
     to sign by n1 and the energy), so the sort order is strict.  The states
@@ -84,10 +140,10 @@ class EnergyLevel:
     alone fixes the relative parity of every state.
     """
 
-    energy: int
-    states: "tuple[State, ...]"
+    __slots__ = ("energy", "states")
 
-    def __post_init__(self) -> None:
+    def __init__(self, energy: int, states: "tuple[State, ...]") -> None:
+        _Record.__init__(self, energy, states)
         if not self.states:
             raise ValueError("an energy level holds at least one state")
         prev = 0

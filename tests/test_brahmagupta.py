@@ -254,13 +254,15 @@ def test_the_doubled_entry_checks_as_the_constructor_does(args):
 @pytest.mark.parametrize("mode", list(RepMode))
 def test_rep_search_makes_no_fraction(monkeypatch, mode):
     made = []
+    new = F.__new__
 
-    class CountedFraction(F):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(brahmagupta_module, "Fraction", CountedFraction)
+    # each function that makes a Fraction imports the class when it runs, so
+    # the count is kept on the class itself
+    monkeypatch.setattr(F, "__new__", counted_new)
     for energy in (91, 1267, 4 * 7 * 13 * 19 * 31 * 37):
         assert rep_search(energy, mode)
     assert made == []

@@ -348,7 +348,8 @@ def test_doublet_coverage_survives_pickle_and_copy():
     record = DoubletCoverage(91, 8, 2, 4, True)
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert clone == record and type(clone) is DoubletCoverage
-        assert dataclasses.astuple(clone) == (91, 8, 2, 4, True)
+        assert (clone.energy, clone.rep_count, clone.all_integer_count, clone.strict_count,
+                clone.covered) == (91, 8, 2, 4, True)
 
 
 def test_census_agrees_with_checker(spectrum_2700, census_2700):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -19,8 +18,8 @@ import triform.census as census_module
 import triform.cli as cli
 import triform.spectrum as spectrum_module
 from triform import (
-    RepMode, Spectrum, build_census, classify_rep, doublet_from_rep, enumerate_spectrum,
-    level_of, match_perrin, rep_search,
+    CensusReport, DoubletCoverage, RepMode, Spectrum, build_census, classify_rep,
+    doublet_from_rep, enumerate_spectrum, level_of, match_perrin, rep_search,
 )
 from triform.cli import _cell, build_parser, main, parse_rational
 from triform.spectrum import _LEVEL_WINDOW as W
@@ -458,10 +457,16 @@ def test_verify_prints_counterexamples(capsys, monkeypatch, fmt):
     # no goldens reach a counterexample; inject two per conjecture
     coverage = cli.doublet_coverage
     monkeypatch.setattr(cli, "doublet_coverage", lambda spectrum, mode: [
-        dataclasses.replace(c, covered=False) if c.energy in (91, 133) else c
+        DoubletCoverage(c.energy, c.rep_count, c.all_integer_count, c.strict_count, False)
+        if c.energy in (91, 133) else c
         for c in coverage(spectrum, mode)])
-    monkeypatch.setattr(cli, "build_census", lambda spectrum: dataclasses.replace(
-        build_census(spectrum), perrin_exceptions=(196, 252)))
+
+    def census_with_exceptions(spectrum):
+        r = build_census(spectrum)
+        return CensusReport(r.e_max, r.rows, r.perrin_total, r.perrin_matched, (196, 252),
+                            r.brahmagupta_total)
+
+    monkeypatch.setattr(cli, "build_census", census_with_exceptions)
     code, out, _ = run_cli(capsys, "verify", "--emax", "300", "--format", fmt)
     assert code == 1
     assert out == VERIFY_300_WITH_COUNTEREXAMPLES[fmt]
@@ -625,6 +630,27 @@ def test_importing_the_cli_leaves_csv_out():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_commands_load_neither_dataclasses_nor_fractions():
+    # in a fresh interpreter (pytest itself loads dataclasses): `dataclasses`
+    # pulls in `inspect`, and `fractions` pulls in `decimal`; the benchmark's
+    # warm-up commands and `braham reps` make no Fraction and need neither
+    code = """if True:
+        import io, sys
+        import triform.cli
+        argvs = [["level", "91"], ["census", "--emax", "100"], ["verify", "--emax", "100"],
+                 ["spectrum", "--emax", "100"], ["braham", "reps", "91"]]
+        sys.stdout = io.StringIO()
+        codes = [triform.cli.main(argv + ["--format", "json"]) for argv in argvs]
+        loaded = [m for m in ("dataclasses", "inspect", "fractions", "decimal")
+                  if m in sys.modules]
+        sys.stdout = sys.__stdout__
+        print(codes, loaded)
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.stdout, done.stderr) == ("[0, 0, 0, 0, 0] []\n", "")
+
+
 def test_oversized_exponent_is_refused_without_expanding_it():
     # Fraction("1e30000000") writes out the power of ten, which ran for minutes
     argv = ["braham", "doublet", "1", "1", "1e30000000", "1"]
@@ -743,6 +769,20 @@ def test_bad_rational_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["braham", "inverse", "3", "8", "5", "4", "--xi", "zebra"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["braham", "inverse", "3", "8", "5", "4", "--xi", "1/0"],
+    ["braham", "doublet", "1", "2", "1/0", "1"],
+])
+def test_zero_denominator_is_named_as_the_reason(capsys, argv):
+    # Fraction("1/0") raises ZeroDivisionError('Fraction(1, 0)'), which read
+    # as a value where the message gives a reason
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith(": not a rational: '1/0' (zero denominator)\n")
 
 
 def test_unknown_command_is_usage_error(capsys):
