@@ -31,7 +31,6 @@ the classification work on those.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Union
@@ -94,55 +93,24 @@ class BrahmaguptaRep(_Record):
     """A factorization E = (3*v1^2 + v2^2) * (3*v3^2 + v4^2).
 
     v1, v2 are positive integers; v3, v4 positive half-integers (multiples
-    of 1/2), given as int, str or `Fraction`.  A rep holds them as the
-    doubled integers a = 2*v3, b = 2*v4, on which every check runs, and
-    `v3`, `v4` read them back as `Fraction`s.  The second factor may be a
-    non-integer rational; the product must equal the integer energy
-    exactly: (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E.
+    of 1/2), given as int, str or `Fraction`; the energy E is an int.  A
+    rep holds v3 and v4 as the doubled integers a = 2*v3, b = 2*v4, on
+    which every check runs, and `v3`, `v4` read them back as `Fraction`s.
+    The second factor may be a non-integer rational; the product must
+    equal the integer energy exactly: (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E.
 
-    The fields are v1, v2, a, b and energy, all ints.  `__new__` builds
-    and checks the rep, so the `__init__` of the base is not run, and
-    pickling and `copy` give the constructor v3 and v4 back (`_args`).
+    The fields are v1, v2, a, b and energy, all ints.  The constructor
+    checks its arguments (`_checked_ints`) and then sets the fields, and
+    pickling and `copy` give it v3 and v4 back (`_args`).  `rep_search`
+    builds its reps past these checks, from tuples that pass them by
+    construction (`_reps`).
     """
 
     __slots__ = ("v1", "v2", "a", "b", "energy")
     _args = ("v1", "v2", "v3", "v4", "energy")
-    __init__ = object.__init__
 
-    def __new__(cls, v1: int, v2: int, v3: Rational, v4: Rational, energy: int):
-        from fractions import Fraction
-        return cls._all_of_doubled(((v1, v2, 2 * Fraction(v3), 2 * Fraction(v4)),), energy)[0]
-
-    @classmethod
-    def _all_of_doubled(
-        cls, tuples: "Iterable[tuple[int, int, int, int]]", energy: int
-    ) -> "list[BrahmaguptaRep]":
-        """The rep (v1, v2, a/2, b/2) of `energy` for each (v1, v2, a, b) of
-        `tuples`, in order, each checked as the constructor checks it.
-
-        The fast path is one expression per tuple: v1, v2, a, b >= 1 and the
-        product of forms an int equal to 4*E (a `Fraction` or float among
-        the four makes a product of its own type).  A tuple that fails it,
-        such as the constructor's Fractions a = 2*v3, b = 2*v4, takes the
-        checks one at a time on exact rationals, which name what failed, and
-        the rep stores the four as ints.  The slots are set through their
-        member descriptors, past the frozen `__setattr__`.
-        """
-        four_e = 4 * energy
-        new = object.__new__
-        reps = []
-        for v1, v2, a, b in tuples:
-            p = (3 * v1 * v1 + v2 * v2) * (3 * a * a + b * b)
-            if not (1 <= v1 and 1 <= v2 and 1 <= a and 1 <= b and type(p) is int and p == four_e):
-                v1, v2, a, b = _checked_ints(v1, v2, a, b, energy)
-            rep = new(cls)
-            _SET_V1(rep, v1)
-            _SET_V2(rep, v2)
-            _SET_A(rep, a)
-            _SET_B(rep, b)
-            _SET_ENERGY(rep, energy)
-            reps.append(rep)
-        return reps
+    def __init__(self, v1: int, v2: int, v3: Rational, v4: Rational, energy: int) -> None:
+        _Record.__init__(self, *_checked_ints(v1, v2, v3, v4, energy), energy)
 
     @property
     def v3(self) -> Fraction:
@@ -163,15 +131,18 @@ _SET_V1, _SET_V2, _SET_A, _SET_B, _SET_ENERGY = (
     vars(BrahmaguptaRep)[name].__set__ for name in BrahmaguptaRep.__slots__)
 
 
-def _checked_ints(v1, v2, a, b, energy: int) -> "tuple[int, int, int, int]":
-    """The checks of a rep one at a time, on exact rationals, so a float
-    checks as the integer it equals and no product rounds: v1 and v2
-    positive integers, a = 2*v3 and b = 2*v4 positive integers (v3 is a
+def _checked_ints(v1, v2, v3, v4, energy: int) -> "tuple[int, int, int, int]":
+    """The checks of a rep one at a time: the energy an int (a bool is
+    one, as in `energy_of`), then, on exact rationals, so a float checks
+    as the integer it equals and no product rounds, v1 and v2 positive
+    integers, a = 2*v3 and b = 2*v4 positive integers (v3 is a
     half-integer exactly when 2*v3 has denominator 1, as an int has), and
-    the product of forms 4*E.  Returns the four as ints; raises ValueError
-    naming what failed."""
+    the product of forms 4*E.  Returns v1, v2, a, b as ints; raises
+    ValueError naming what failed."""
+    if not isinstance(energy, int):
+        raise ValueError(f"energy must be an int, got {energy!r}")
     from fractions import Fraction
-    v1, v2 = Fraction(v1), Fraction(v2)
+    v1, v2, a, b = Fraction(v1), Fraction(v2), 2 * Fraction(v3), 2 * Fraction(v4)
     if v1 < 1 or v2 < 1 or v1.denominator != 1 or v2.denominator != 1:
         raise ValueError("v1 and v2 must be positive integers")
     for n in (a, b):
@@ -275,7 +246,8 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
     tuples are distinct representations: (1,2,2,1) and (2,1,1,2) both count.
 
     The reps of the last energy searched are kept, in either mode, built
-    in one batch (`_reps`) from the tuples of the one solve: a search
+    in one batch (`_reps`) from the tuples of the one solve, without the
+    constructor's checks, which those tuples pass by construction: a search
     right after another of the same energy, in either mode, builds
     nothing (a strict one filters the kept reps with `_strict`), so the
     three searches `doublet_coverage` makes back to back for every doublet
@@ -301,11 +273,28 @@ def rep_search(energy: int, mode: RepMode = RepMode.FACTORIZATION) -> "list[Brah
 @lru_cache(maxsize=1, typed=True)
 def _reps(energy: int) -> "tuple[BrahmaguptaRep, ...]":
     """Every rep of `energy`, as `rep_search` returns them in factorization
-    mode: the tuples of `_rep_tuples`, built in one batch
-    (`BrahmaguptaRep._all_of_doubled`).  Kept for the last energy asked,
-    keyed as `_rep_tuples` is, so a float or a Fraction equal to the energy
-    kept reaches the solve's check."""
-    return tuple(BrahmaguptaRep._all_of_doubled(_rep_tuples(energy), energy))
+    mode: one per tuple (v1, v2, a, b) of `_rep_tuples`, in its order.
+    Kept for the last energy asked, keyed as `_rep_tuples` is, so a float
+    or a Fraction equal to the energy kept reaches the solve's check.
+
+    The constructor's checks cannot fail here, so the slots are set
+    through their member descriptors, past them and past the frozen
+    `__setattr__`: each tuple pairs an element of norm d with one of norm
+    4*E/d, both with x*y > 0, so v1, v2, a, b are ints >= 1 and
+    (3*v1^2 + v2^2) * (3*a^2 + b^2) = 4*E.  The tests check searched reps
+    against the constructor and against a divisor scan.
+    """
+    new = object.__new__
+    reps = []
+    for v1, v2, a, b in _rep_tuples(energy):
+        rep = new(BrahmaguptaRep)
+        _SET_V1(rep, v1)
+        _SET_V2(rep, v2)
+        _SET_A(rep, a)
+        _SET_B(rep, b)
+        _SET_ENERGY(rep, energy)
+        reps.append(rep)
+    return tuple(reps)
 
 
 def inverse_rep(

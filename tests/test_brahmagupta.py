@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,21 @@ STRICT_91 = [
 
 def keys(reps):
     return [r.key for r in reps]
+
+
+def check_batch(reps):
+    """The check `_reps` leaves to the suite: each rep equals the one the
+    public constructor builds from its v1, v2, v3, v4 and energy (which
+    raises ValueError naming what is wrong), and every field is an int."""
+    for rep in reps:
+        assert BrahmaguptaRep(rep.v1, rep.v2, rep.v3, rep.v4, rep.energy) == rep, rep
+        assert all(type(getattr(rep, name)) is int for name in BrahmaguptaRep.__slots__), rep
+
+
+def reps_of_solved(monkeypatch, tuples, energy):
+    """The reps `_reps` builds for `energy` when the solve returns `tuples`."""
+    monkeypatch.setattr(brahmagupta_module, "_rep_tuples", lambda energy: tuple(tuples))
+    return brahmagupta_module._reps(energy)
 
 
 # ----------------------------------------------------------------- identity
@@ -165,11 +181,37 @@ def test_rep_normalizes_v3_and_v4_to_fractions(args, key):
         ((1, 2, 0, 1, 91), "got 0"),
         ((1, 2, 2, F(-1, 2), 91), "got -1/2"),
         ((1, 2, -2, -1, 91), "got -2"),
+        # a bool is an int, as in `energy_of`, and no energy below 4 has a rep
+        ((1, 1, 1, 1, True), "does not factor True"),
     ],
 )
 def test_rep_rejections_name_the_bad_value(args, message):
     with pytest.raises(ValueError, match=message):
         BrahmaguptaRep(*args)
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The arguments of each Fraction made from here on.  Each function
+    that makes a Fraction imports the class when it runs, so the count is
+    kept on the class itself."""
+    made = []
+    new = F.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted_new)
+    return made
+
+
+@pytest.mark.parametrize("energy", [91.0, F(91), "91"])
+def test_rep_refuses_an_energy_that_is_not_an_int_before_making_a_fraction(
+        fractions_made, energy):
+    with pytest.raises(ValueError, match=re.escape(f"energy must be an int, got {energy!r}")):
+        BrahmaguptaRep(1, 2, 2, 1, energy)
+    assert fractions_made == []
 
 
 def test_rep_is_slotted_and_frozen():
@@ -236,14 +278,21 @@ def test_rep_checks_float_and_fraction_v1_v2_exactly():
         (F(3, 2), F(3, 2), 2, 2, 36),
         (F(3, 2), 1, 2, 2, 31),
         (1, F(3, 2), 2, 2, 21),
+        (1, 2, 4, 3, 91),  # b off by one: the product of forms is 7 * 57, not 4*91
+        (1, 2, 5, 1, 91),  # 7 * 76 = 4*133
+        (1, 2, F(7, 2), 2, 91),  # a = 2*v3 not an integer
     ],
 )
-def test_the_doubled_entry_checks_as_the_constructor_does(args):
+def test_the_doubled_entry_checks_as_the_constructor_does(monkeypatch, args):
+    # `_reps` sets a solved (v1, v2, a, b) past the constructor's checks,
+    # and the suite's `check_batch` must refuse a bad one as the
+    # constructor refuses v1, v2, v3 = a/2, v4 = b/2
     v1, v2, a, b, energy = args
     with pytest.raises(ValueError) as public:
         BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy)
+    [rep] = reps_of_solved(monkeypatch, [(v1, v2, a, b)], energy)
     with pytest.raises(ValueError) as doubled:
-        BrahmaguptaRep._all_of_doubled([(v1, v2, a, b)], energy)
+        check_batch([rep])
     assert str(doubled.value) == str(public.value)
     if v1 % 1 or v2 % 1:
         assert str(public.value) == "v1 and v2 must be positive integers"
@@ -252,22 +301,12 @@ def test_the_doubled_entry_checks_as_the_constructor_does(args):
 # --------------------------------------------------------------- rep search
 
 @pytest.mark.parametrize("mode", list(RepMode))
-def test_rep_search_makes_no_fraction(monkeypatch, mode):
-    made = []
-    new = F.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    # each function that makes a Fraction imports the class when it runs, so
-    # the count is kept on the class itself
-    monkeypatch.setattr(F, "__new__", counted_new)
+def test_rep_search_makes_no_fraction(fractions_made, mode):
     for energy in (91, 1267, 4 * 7 * 13 * 19 * 31 * 37):
         assert rep_search(energy, mode)
-    assert made == []
+    assert fractions_made == []
     BrahmaguptaRep(1, 2, "2", "1", 91)  # the public constructor does make them
-    assert made
+    assert fractions_made
 
 
 def test_searched_reps_equal_constructed_ones(oracle_reps_5000):
@@ -276,6 +315,11 @@ def test_searched_reps_equal_constructed_ones(oracle_reps_5000):
         assert reps == [BrahmaguptaRep(*rep, energy) for rep in expected], energy
         for rep in reps:
             assert (rep.a, rep.b) == (2 * rep.v3, 2 * rep.v4), rep
+        check_batch(reps)
+    for energy in LARGE_REP_ENERGIES + BATCH_ENERGIES:
+        reps = rep_search(energy)
+        assert reps, energy
+        check_batch(reps)
 
 
 def test_rep_search_91_factorization():
@@ -465,12 +509,12 @@ BATCH_ENERGIES = [91, 1415232, 7932652, 7**4 * 13**2]
 @pytest.mark.parametrize("energy", BATCH_ENERGIES)
 def test_batched_reps_equal_the_reps_built_one_at_a_time(energy):
     tuples = spectrum_module._rep_tuples(energy)
-    batch = BrahmaguptaRep._all_of_doubled(tuples, energy)
-    assert batch == [BrahmaguptaRep._all_of_doubled([t], energy)[0] for t in tuples]
-    # the public constructor checks each on Fractions, the slow path
-    assert batch == [BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy) for v1, v2, a, b in tuples]
-    assert [(r.v1, r.v2, r.a, r.b) for r in batch] == list(tuples)
-    assert all(type(n) is int for r in batch for n in (r.v1, r.v2, r.a, r.b))
+    batch = brahmagupta_module._reps(energy)
+    # the public constructor checks each on Fractions
+    assert list(batch) == [BrahmaguptaRep(v1, v2, F(a, 2), F(b, 2), energy)
+                           for v1, v2, a, b in tuples]
+    assert [(r.v1, r.v2, r.a, r.b, r.energy) for r in batch] == [(*t, energy) for t in tuples]
+    assert all(type(r) is BrahmaguptaRep and not hasattr(r, "__dict__") for r in batch)
 
 
 @pytest.mark.parametrize("bad", [
@@ -479,27 +523,28 @@ def test_batched_reps_equal_the_reps_built_one_at_a_time(energy):
     (1, 2, 4, 3),  # b off by one: the product of forms is 7 * 57, not 4*91
     (1, 2, 5, 1),  # 7 * 76 = 4*133
     (1, 2, F(7, 2), 2),  # a = 2*v3 not an integer
-    (1, 2, F(4), F(2)),  # integral Fractions take the slow path and build
+    (1, 2, F(4), F(2)),  # integral Fractions, which the constructor stores as ints
 ])
-def test_a_batch_checks_each_tuple_as_the_constructor_does(bad):
+def test_a_batch_checks_each_tuple_as_the_constructor_does(monkeypatch, bad):
+    # `_reps` checks nothing; `check_batch`, the suite's check of every
+    # batch, must pass the good tuples and flag the bad one among them
     good = (1, 2, 4, 2)
+    batch = reps_of_solved(monkeypatch, [good, bad, good], 91)
+    check_batch(batch[::2])
+    with pytest.raises((ValueError, AssertionError)) as flagged:
+        check_batch(batch)
     try:
-        [expected] = BrahmaguptaRep._all_of_doubled([bad], 91)
-    except ValueError as raised:
-        with pytest.raises(ValueError) as batched:
-            BrahmaguptaRep._all_of_doubled([good, bad, good], 91)
-        assert str(batched.value) == str(raised)
-        with pytest.raises(ValueError) as public:
-            BrahmaguptaRep(bad[0], bad[1], F(bad[2], 2), F(bad[3], 2), 91)
-        assert str(batched.value) == str(public.value)
+        expected = BrahmaguptaRep(bad[0], bad[1], F(bad[2], 2), F(bad[3], 2), 91)
+    except ValueError as public:
+        assert str(flagged.value) == str(public)
     else:
-        batch = BrahmaguptaRep._all_of_doubled([good, bad, good], 91)
-        assert batch == [expected] * 3 and type(batch[1].a) is int
+        assert batch[1] == expected and type(batch[1].a) is not int
 
 
-def test_a_batch_builds_a_bool_index():
-    [rep] = BrahmaguptaRep._all_of_doubled([(True, 2, 4, 2)], 91)
+def test_a_batch_builds_a_bool_index(monkeypatch):
+    [rep] = reps_of_solved(monkeypatch, [(True, 2, 4, 2)], 91)
     assert rep == BrahmaguptaRep(True, 2, 2, 1, 91) == BrahmaguptaRep(1, 2, 2, 1, 91)
+    assert type(BrahmaguptaRep(True, 2, 2, 1, 91).v1) is int
 
 
 def cold_search(energy, mode):
@@ -520,16 +565,16 @@ def test_a_search_after_another_of_the_same_energy_equals_a_cold_one(energy, fir
 
 @pytest.fixture
 def reps_built(monkeypatch):
-    """The number of reps built from here on, in batches or one at a time."""
+    """The number of reps `_reps` builds from here on: it sets the energy
+    of each rep once."""
     built = [0]
-    batch = BrahmaguptaRep._all_of_doubled.__func__
+    set_energy = brahmagupta_module._SET_ENERGY
 
-    def counted(cls, tuples, energy):
-        reps = batch(cls, tuples, energy)
-        built[0] += len(reps)
-        return reps
+    def counted(rep, energy):
+        built[0] += 1
+        set_energy(rep, energy)
 
-    monkeypatch.setattr(BrahmaguptaRep, "_all_of_doubled", classmethod(counted))
+    monkeypatch.setattr(brahmagupta_module, "_SET_ENERGY", counted)
     return built
 
 

@@ -119,10 +119,13 @@ def test_seeds_order_as_their_indices_and_only_among_seeds():
 
 
 def unchecked(cls, *values):
-    """A record with these fields, built past its constructor's checks."""
+    """A record built from these constructor arguments past its checks."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
+    given = dict(zip(cls._args or cls.__slots__, values))
+    if cls is BrahmaguptaRep:  # the fields hold a = 2*v3 and b = 2*v4
+        given["a"], given["b"] = 2 * F(given["v3"]), 2 * F(given["v4"])
+    for name in cls.__slots__:
+        object.__setattr__(record, name, given[name])
     return record
 
 
@@ -134,12 +137,16 @@ def unchecked(cls, *values):
     (EnergyLevel, (91, (State(5, 4), State(3, 8))), ValueError),
     (EnergyLevel, (92, (State(3, 8),)), ValueError),
     (EnergyLevel, (91, ((3, -8),)), ValueError),
+    (BrahmaguptaRep, (0, 2, 2, 1, 16), ValueError),  # a zero index
+    (BrahmaguptaRep, (1, 2, F(1, 3), 1, 91), ValueError),  # not a half-integer
+    (BrahmaguptaRep, (1, 2, 2, 1, 92), ValueError),
+    (BrahmaguptaRep, (1, 2, 2, 1, 91.0), ValueError),
 ])
 def test_checked_records_reject_bad_fields_however_built(cls, values, error):
     with pytest.raises(error):
         cls(*values)
     with pytest.raises(error):
-        cls(**dict(zip(cls.__slots__, values)))
+        cls(**dict(zip(cls._args or cls.__slots__, values)))
     bad = unchecked(cls, *values)
     data = pickle.dumps(bad)  # pickling records the fields, unchecked
     with pytest.raises(error):
