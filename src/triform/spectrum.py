@@ -178,14 +178,15 @@ class Spectrum:
     as text.  Each process holds one window and never the whole range, so
     memory stays flat as e_max grows.
 
-    The one store is the count table (`degeneracies`), one byte per energy,
-    striped in this process on first use and cached, or built at
-    construction from explicit buckets: iteration (the realized energies,
-    ascending), `len`, `degeneracy_of` and `in` read it.  `state_count`
-    sums one square root per n1 instead, unless the buckets were given.
-    `[]` solves its one energy (`level_of`).  The table is a pure function
-    of e_max, so concurrent readers that race to build it build the same
-    value and stay safe.
+    One energy is solved, never read off a table: `degeneracy_of`, `in`
+    and `[]` take an int 0 <= E <= e_max, and solve it (`form_solutions`,
+    `level_of`).  The whole-range reads use the one store, the count table
+    (`degeneracies`), one byte per energy, built from the count windows in
+    this process on first use and cached: iteration (the realized
+    energies, ascending) and `len`.  `state_count` sums one square root per
+    n1 instead, unless explicit buckets were given.  The table is a pure
+    function of e_max and the buckets, so concurrent readers that race to
+    build it build the same value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -194,20 +195,14 @@ class Spectrum:
         self, e_max: int, buckets: "Optional[dict[int, list[tuple[int, int]]]]" = None
     ):
         # Internal constructor: use enumerate_spectrum().  Explicit buckets
-        # map energy -> list of (n1, n2) already ascending in n1; the count
-        # table is then built here, off their lengths (a count above 255
-        # raises ValueError, an energy outside 0..e_max is left out), and
-        # the level walk (`_levels`) reads the buckets in place of its
-        # stripe.  `[]` never reads them.
+        # map energy -> list of (n1, n2) already ascending in n1.  They are
+        # only stored: the count windows (`_window_counts`) read their
+        # lengths, and the level walk (`_levels`) their states, in place of
+        # the stripe.  The one-energy reads (`degeneracy_of`, `in`, `[]`)
+        # solve, and never read them.
         self._e_max = e_max
         self._buckets = buckets
         self._counts: "Optional[bytes]" = None
-        if buckets is not None:
-            counts = bytearray(e_max + 1)
-            for energy, states in buckets.items():
-                if 0 <= energy <= e_max:
-                    counts[energy] = len(states)
-            self._counts = bytes(counts)
 
     @property
     def e_max(self) -> int:
@@ -219,11 +214,9 @@ class Spectrum:
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` that fn may change.  The stripe adds 1 at
-        3*n1^2 + n2^2 for every state in the window (`_window_counts`),
-        unless the count table is already built (`degeneracies`, or the
-        constructor from explicit buckets): then each window is a copy of
-        its slice.
+        fresh `bytearray` that fn may change (`_window_counts`): the stripe
+        of the window's states, or the lengths of its explicit buckets, or,
+        once the count table is built (`degeneracies`), a copy of its slice.
 
         The windows are striped on the CPUs of the affinity mask (`_cpus`).
         With c of them, window i goes to process i mod c: 0 is this one,
@@ -285,13 +278,18 @@ class Spectrum:
 
     def _window_counts(self, lo: int, squares: "list[int]") -> bytearray:
         """The counts of the window of energies that starts at lo, up to
-        `_COUNT_WINDOW` of them; squares[n2] is n2^2.  Once the whole table
-        is built (by `degeneracies`, or at construction from explicit
-        buckets), a window is a copy of its slice, so a census after `len`
-        or `degeneracy_of` does not stripe the range again."""
+        `_COUNT_WINDOW` of them; squares[n2] is n2^2.  The stripe adds 1 at
+        3*n1^2 + n2^2 for every state in the window.  Explicit buckets are
+        read instead, by the length of each energy's bucket in the window;
+        one of more than 255 states raises ValueError, as a striped count
+        past 255 does.  Once the whole table is built (by `degeneracies`), a
+        window is a copy of its slice, so a census after `len` does not
+        count the range again."""
         hi = min(lo + _COUNT_WINDOW, self._e_max + 1)
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
+        if self._buckets is not None:
+            return bytearray([len(self._buckets.get(energy, ())) for energy in range(lo, hi)])
         counts = bytearray(hi - lo)
         for _, offset, first, stop in _stripes(lo, hi):
             for square in squares[first:stop]:
@@ -324,7 +322,8 @@ class Spectrum:
     @property
     def state_count(self) -> int:
         """States of energy <= e_max: isqrt(e_max - 3*n1^2) of them for each
-        n1 >= 1, with no table.  Explicit buckets sum their table."""
+        n1 >= 1, with no table.  Explicit buckets sum the count table, which
+        counts only their energies 0..e_max."""
         if self._buckets is not None:
             return sum(self.degeneracies())
         e_max = self._e_max
@@ -344,10 +343,9 @@ class Spectrum:
     # No command reads one level through a spectrum; `[]` stays because
     # perfbench/tracing.py wraps `Spectrum.__getitem__` as a timed layer.
     def __getitem__(self, energy: int) -> EnergyLevel:
-        level = level_of(energy) if isinstance(energy, int) and energy <= self._e_max else None
-        if level is None:
+        if not self.degeneracy_of(energy):
             raise KeyError(energy)
-        return level
+        return level_of(energy)
 
     def iter_levels(
         self, parity: Optional[Parity] = None, degeneracy: Optional[int] = None
@@ -374,10 +372,13 @@ class Spectrum:
                 if energy & mask == want and (degeneracy is None or count == degeneracy))
 
     def degeneracy_of(self, energy: object) -> int:
-        """Number of states at `energy`, 0 when the energy is not realized."""
-        if isinstance(energy, int) and 0 <= energy <= self._e_max:
-            return self.degeneracies()[energy]
-        return 0
+        """Number of states at `energy`: the solve of one int 0 <= E <= e_max
+        (`form_solutions`), which builds no table; 0 for any other value, or
+        an energy no state reaches.  The one range guard: `in` and `[]` read
+        it.  A dense loop over the range costs one solve per energy, where
+        `degeneracies` counts the whole range at once."""
+        in_range = isinstance(energy, int) and 0 <= energy <= self._e_max
+        return len(form_solutions(energy)) if in_range else 0
 
     def raw_items(self) -> "Iterator[tuple[int, list[tuple[int, int]]]]":
         """(energy, states-as-int-pairs) in ascending energy, no materialization.

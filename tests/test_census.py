@@ -141,6 +141,22 @@ def test_census_reports_planted_triplets_at_every_window_size(monkeypatch, windo
     assert report == oracles.bucket_census(spectrum)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_census_of_explicit_buckets_stripes_on_every_cpu(monkeypatch, forks, cpus):
+    # windows of 64 energies: 100 lies in window 1 and 136 in window 2, each
+    # a worker's on 2 or 3 CPUs, and neither is a seed energy
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    for energy in (100, 136):
+        buckets[energy] = [(1, 1), (2, 2), (3, 3)]
+    spectrum = Spectrum(3000, buckets)
+    report = build_census(spectrum)
+    assert spectrum._counts is None  # the windows read the buckets; no table is built
+    assert len(forks) == cpus - 1
+    assert report.perrin_exceptions == (100, 136)
+    assert report == oracles.bucket_census(spectrum)
+
+
 def test_census_holds_windows_not_the_table(monkeypatch):
     # 16 windows of 64 KB: the whole-range table would be 1 MB, and a few
     # windows and their slices take under half of that
@@ -166,8 +182,9 @@ def test_census_builds_no_buckets():
     finally:
         tracemalloc.stop()
     assert report.perrin_exceptions == ()
+    assert spectrum.degeneracy_of(28) == 3 and 5 not in spectrum
+    assert spectrum._counts is None  # the census, `in` and `degeneracy_of` build no table
     assert len(spectrum) > 0 and spectrum.state_count > 0
-    assert spectrum.degeneracy_of(28) == 3
     assert spectrum._buckets is None
     # the buckets would take about 165 MB at this size
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
@@ -298,7 +315,7 @@ def test_doublet_coverage_2700(spectrum_2700):
     assert len(coverage) == 109
     assert [c.energy for c in coverage] == sorted(c.energy for c in coverage)
     for c in coverage:
-        assert spectrum_2700.degeneracy_of(c.energy) == 2  # read off the stripe
+        assert spectrum_2700.degeneracy_of(c.energy) == 2  # solved
         assert parity_of_energy(c.energy) is Parity.OPPOSITE
         assert c.rep_count >= c.strict_count
         assert c.rep_count >= c.all_integer_count

@@ -27,6 +27,7 @@ from triform import (
     Parity,
     Spectrum,
     State,
+    build_census,
     energy_of,
     enumerate_spectrum,
     level_of,
@@ -198,13 +199,29 @@ def test_spectrum_count_reads_and_one_level(spectrum_2700):
     assert energies == sorted(energies)
 
 
+def test_one_energy_reads_build_no_table():
+    # each is one solve; the count table of 10^8 energies would take 100 MB
+    spectrum = enumerate_spectrum(10**8)
+    tracemalloc.start()
+    try:
+        assert 28 in spectrum and 5 not in spectrum
+        assert spectrum.degeneracy_of(91) == 2
+        assert spectrum[196].degeneracy == 4
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**10:.0f} KB"
+    assert spectrum._counts is None and spectrum._buckets is None
+
+
 def test_table_reads_build_no_buckets():
     spectrum = enumerate_spectrum(2700)
     assert spectrum[28].degeneracy == 3 and level_of(2701) is not None
     for energy in (2701, "28"):
         with pytest.raises(KeyError):
             spectrum[energy]
-    assert spectrum._counts is None  # one level builds neither store
+    assert 28 in spectrum and spectrum.degeneracy_of(2701) == 0
+    assert spectrum._counts is None  # one level, `in` and `degeneracy_of` build neither store
     assert list(spectrum) == sorted(oracles.naive_levels(2700))
     assert len(spectrum) == 655
     assert 28 in spectrum and 5 not in spectrum
@@ -219,6 +236,7 @@ def test_table_reads_build_no_buckets():
 def test_repr_builds_nothing():
     spectrum = enumerate_spectrum(10**6)
     assert repr(spectrum) == "Spectrum(e_max=1000000)"
+    assert 5 not in spectrum and spectrum.degeneracy_of(28) == 3  # nor do one-energy reads
     assert spectrum._counts is None and spectrum._buckets is None
 
 
@@ -284,9 +302,12 @@ def test_explicit_buckets_iterate_in_ascending_energy():
 
 
 def test_count_reads_outside_the_range(spectrum_2700):
-    for energy in (-1, -2700, 0, 2701, 10**9, "28", None):
+    # `in`, `degeneracy_of` and `[]` share one range guard
+    for energy in (-1, -2700, 0, 2701, 10**9, "28", 28.0, True, None):
         assert energy not in spectrum_2700
         assert spectrum_2700.degeneracy_of(energy) == 0
+        with pytest.raises(KeyError):
+            spectrum_2700[energy]
 
 
 def test_degeneracies_table(spectrum_2700, naive_2700):
@@ -353,6 +374,7 @@ def test_explicit_bucket_count_windows_never_stripe(monkeypatch):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
     items = list(enumerate_spectrum(2700).raw_items())
     spectrum = Spectrum(2700, dict(items))
+    assert spectrum._counts is None  # the buckets are stored, not counted
 
     def no_stripe(lo, hi):
         raise AssertionError("striped explicit buckets")
@@ -377,8 +399,34 @@ def test_degeneracies_raise_rather_than_wrap():
     # 255 is the most a byte holds; realized degeneracies first pass it at
     # E = 145651423372, with 288 states
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
-    with pytest.raises(ValueError):  # at construction, which counts the buckets
-        Spectrum(4, {4: [(1, 1)] * 256})
+    for read in (Spectrum.degeneracies, len, build_census):
+        spectrum = Spectrum(4, {4: [(1, 1)] * 256})  # construction counts nothing
+        with pytest.raises(ValueError):  # at the first count read
+            read(spectrum)
+        assert spectrum._counts is None, read
+
+
+def test_a_bucket_past_a_byte_in_a_worker_window_raises_here(monkeypatch, forks):
+    # on 2 CPUs the worker has windows 1, 3, 5, ... of 64 energies: it stops
+    # at the bucket of 256 states in window 1, and this process, striping
+    # that window again, raises
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: 2)
+    buckets = {e: list(states) for e, states in enumerate_spectrum(1000).raw_items()}
+    buckets[100] = [(1, 1)] * 256
+    parent = os.getpid()
+    window_counts = Spectrum._window_counts
+    striped_here = []
+
+    def recorded(self, lo, squares):
+        if os.getpid() == parent:
+            striped_here.append(lo // 64)
+        return window_counts(self, lo, squares)
+
+    monkeypatch.setattr(Spectrum, "_window_counts", recorded)
+    with pytest.raises(ValueError):
+        build_census(Spectrum(1000, buckets))
+    assert striped_here == [0, 1]
+    assert len(forks) == 1
 
 
 def _assert_state_count_sums_the_table(e_max):
@@ -1007,9 +1055,11 @@ def test_solves_heavy_in_2_and_3_match_the_scans(energy):
 # ------------------------------------------------------ divisor-sum oracle
 
 def test_degeneracy_matches_the_divisor_sum_up_to_10_6():
+    # the stripe over the whole range, and the solve of each energy up to 2*10^5
     spectrum = enumerate_spectrum(10**6)
     expected = oracles.divisor_sum_degeneracies(10**6)
-    assert [spectrum.degeneracy_of(n) for n in range(10**6 + 1)] == expected
+    assert list(spectrum.degeneracies()) == expected
+    assert [spectrum.degeneracy_of(n) for n in range(2 * 10**5 + 1)] == expected[:2 * 10**5 + 1]
 
 
 def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
@@ -1019,5 +1069,8 @@ def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
         energy = energy_of((rng.randint(1, 182574), rng.randint(1, 316227)))
         if 10**9 <= energy <= 10**11:
             energies.append(energy)
+    spectrum = enumerate_spectrum(10**11)  # no table: each read is one solve
     for energy in energies:
-        assert len(form_solutions(energy)) == oracles.divisor_sum_degeneracy(energy), energy
+        count = oracles.divisor_sum_degeneracy(energy)
+        assert len(form_solutions(energy)) == spectrum.degeneracy_of(energy) == count, energy
+    assert spectrum._counts is None
