@@ -1,81 +1,20 @@
-"""Exact enumeration and classification of degeneracies in E = 3*n1^2 + n2^2."""
+"""Exact enumeration and classification of degeneracies in E = 3*n1^2 + n2^2.
 
-from .brahmagupta import (
-    BrahmaguptaRep,
-    Doublet,
-    IdentityExpansion,
-    RepClass,
-    RepMode,
-    classify_rep,
-    doublet_from_rep,
-    identity_expand,
-    inverse_rep,
-    rep_search,
-    signed_doublet,
-)
-from .census import (
-    CensusReport,
-    CensusRow,
-    DoubletCoverage,
-    build_census,
-    check_brahmagupta_conjecture,
-    check_perrin_conjecture,
-    doublet_coverage,
-)
-from .perrin import (
-    InvalidSeedError,
-    PerrinSeed,
-    PerrinTriplet,
-    match_perrin,
-    perrin_energy,
-    perrin_triplet,
-)
-from .spectrum import (
-    EmptySpectrumError,
-    EnergyLevel,
-    Parity,
-    Spectrum,
-    State,
-    energy_of,
-    enumerate_spectrum,
-    level_of,
-    parity_of_energy,
-)
+The public names are those of `brahmagupta`, `census`, `perrin` and
+`spectrum`: each module lists its own in `__all__`, and the package
+re-exports them, so a name is declared once, where it is defined.
+"""
+
+from . import brahmagupta, census, perrin, spectrum
+from .brahmagupta import *  # noqa: F401,F403
+from .census import *  # noqa: F401,F403
+from .perrin import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BrahmaguptaRep",
-    "CensusReport",
-    "CensusRow",
-    "Doublet",
-    "DoubletCoverage",
-    "EmptySpectrumError",
-    "EnergyLevel",
-    "IdentityExpansion",
-    "InvalidSeedError",
-    "Parity",
-    "PerrinSeed",
-    "PerrinTriplet",
-    "RepClass",
-    "RepMode",
-    "Spectrum",
-    "State",
-    "build_census",
-    "check_brahmagupta_conjecture",
-    "check_perrin_conjecture",
-    "classify_rep",
-    "doublet_coverage",
-    "doublet_from_rep",
-    "energy_of",
-    "enumerate_spectrum",
-    "identity_expand",
-    "inverse_rep",
-    "level_of",
-    "match_perrin",
-    "parity_of_energy",
-    "perrin_energy",
-    "perrin_triplet",
-    "rep_search",
-    "signed_doublet",
-]
+__all__ = []
+__all__ += brahmagupta.__all__
+__all__ += census.__all__
+__all__ += perrin.__all__
+__all__ += spectrum.__all__

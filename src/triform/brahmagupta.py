@@ -37,6 +37,10 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .spectrum import State, StateLike, _Record, _rep_tuples, energy_of
 
+__all__ = ["BrahmaguptaRep", "Doublet", "IdentityExpansion", "RepClass", "RepMode",
+           "classify_rep", "doublet_from_rep", "identity_expand", "inverse_rep",
+           "rep_search", "signed_doublet"]
+
 # `fractions` (with `decimal` and `numbers`) is imported by each function
 # that makes a Fraction, so a command that makes none does not load it.
 if TYPE_CHECKING:
@@ -160,6 +164,12 @@ def classify_rep(rep: BrahmaguptaRep) -> RepClass:
     if rep.a % 2 == 0 == rep.b % 2:
         return RepClass.ALL_INTEGER
     return RepClass.NEEDS_HALF_INTEGER
+
+
+def _all_integer_count(reps: "list[BrahmaguptaRep]") -> int:
+    """The number of `reps` that `classify_rep` calls ALL_INTEGER, with its
+    parity test inline: one call per list, not one per rep."""
+    return sum([(r.a | r.b) & 1 == 0 for r in reps])
 
 
 class Doublet(_Record):

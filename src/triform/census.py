@@ -17,9 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from .brahmagupta import RepMode, rep_search
+from .brahmagupta import RepMode, _all_integer_count, rep_search
 from .perrin import match_perrin
 from .spectrum import Parity, Spectrum, _Record, _stripes
+
+__all__ = ["CensusReport", "CensusRow", "DoubletCoverage", "build_census",
+           "check_brahmagupta_conjecture", "check_perrin_conjecture", "doublet_coverage"]
 
 # Table-style reports always pad degeneracy rows out to these minimums so a
 # census at any e_max keeps the same row structure.
@@ -190,12 +193,11 @@ def doublet_coverage(
     reads), then a factorization search and a strict search for the tallies.
     The first solves the energy and builds its reps once; `rep_search`
     keeps the reps of the last energy, so the other two build nothing, and
-    each level is solved once in either mode.  `all_integer_count` probes
-    which doublet levels admit an all-integer tuple; the first level with
-    zero is the half-integer threshold.  A rep is all-integer when its
-    doubled coordinates a and b are both even (`brahmagupta.classify_rep`),
-    tested inline.  Raises ValueError, before walking anything, for a mode
-    that is not a `RepMode`.
+    each level is solved once in either mode.  `all_integer_count`
+    (`brahmagupta._all_integer_count`) probes which doublet levels admit an
+    all-integer tuple; the first level with zero is the half-integer
+    threshold.  Raises ValueError, before walking anything, for a mode that
+    is not a `RepMode`.
     """
     if not isinstance(mode, RepMode):
         raise ValueError(f"mode must be a RepMode, got {mode!r}")
@@ -209,8 +211,6 @@ def doublet_coverage(
         covered = bool(rep_search(energy, mode))
         reps = rep_search(energy, RepMode.FACTORIZATION)
         strict = rep_search(energy, RepMode.STRICT)
-        all_integer = 0
-        for r in reps:
-            all_integer += (r.a | r.b) & 1 == 0
-        out.append(DoubletCoverage(energy, len(reps), all_integer, len(strict), covered))
+        out.append(DoubletCoverage(energy, len(reps), _all_integer_count(reps), len(strict),
+                                   covered))
     return out

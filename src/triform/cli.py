@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 from .brahmagupta import (
     BrahmaguptaRep,
     RepMode,
+    _all_integer_count,
     classify_rep,
     doublet_from_rep,
     identity_expand,
@@ -340,8 +341,7 @@ def cmd_level(args: argparse.Namespace) -> int:
         return 1
     seed = match_perrin(level)
     reps = rep_search(level.energy, RepMode.FACTORIZATION)
-    # v3 and v4 are integers when a and b are even
-    all_integer = sum((r.a | r.b) & 1 == 0 for r in reps)
+    all_integer = _all_integer_count(reps)
     strict = len(rep_search(level.energy, RepMode.STRICT))  # filters the reps just kept
     doc = {
         "energy": level.energy,

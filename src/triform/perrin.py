@@ -16,6 +16,9 @@ from typing import Optional, Union
 
 from .spectrum import EnergyLevel, State, _Record
 
+__all__ = ["InvalidSeedError", "PerrinSeed", "PerrinTriplet", "match_perrin",
+           "perrin_energy", "perrin_triplet"]
+
 
 class InvalidSeedError(ValueError):
     """Raised for seed pairs that are not ints with m2 > m1 >= 1."""

@@ -31,6 +31,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
+__all__ = ["EmptySpectrumError", "EnergyLevel", "Parity", "Spectrum", "State", "energy_of",
+           "enumerate_spectrum", "level_of", "parity_of_energy"]
+
 
 class EmptySpectrumError(ValueError):
     """Raised when an enumeration bound admits no state (e_max < 4)."""
@@ -184,9 +187,10 @@ class Spectrum:
     (`degeneracies`), one byte per energy, built from the count windows in
     this process on first use and cached: iteration (the realized
     energies, ascending) and `len`.  `state_count` sums one square root per
-    n1 instead, unless explicit buckets were given.  The table is a pure
-    function of e_max and the buckets, so concurrent readers that race to
-    build it build the same value and stay safe.
+    n1 instead, and over explicit buckets it and the level walk read the
+    count windows one at a time (`_windows`), so neither keeps a table.
+    The table is a pure function of e_max and the buckets, so concurrent
+    readers that race to build it build the same value and stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -299,7 +303,7 @@ class Spectrum:
     def degeneracies(self) -> bytes:
         """Number of states of every energy 0..e_max, one byte each (index = energy).
 
-        The count windows (`_window_counts`), striped in this process one
+        The count windows (`_windows`), striped in this process one
         after the other and written into a buffer sized for the whole table,
         whose bytes `getvalue` hands over without a copy (CPython): the
         build holds the table and one window, where a `bytearray` table and
@@ -309,23 +313,30 @@ class Spectrum:
         Raises ValueError, as the windows do, for a count above 255.
         """
         if self._counts is None:
-            squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
             table = io.BytesIO()
             table.seek(self._e_max)
             table.write(b"\0")  # size the buffer once, zero-filled
             table.seek(0)
-            for lo in range(0, self._e_max + 1, _COUNT_WINDOW):
-                table.write(self._window_counts(lo, squares))
+            table.writelines(self._windows())  # each window let go once written
             self._counts = table.getvalue()
         return self._counts
+
+    def _windows(self) -> "Iterator[bytearray]":
+        """The count windows of the range (`_window_counts`), ascending, made
+        in this process one at a time, as they are asked for."""
+        squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
+        return (self._window_counts(lo, squares)
+                for lo in range(0, self._e_max + 1, _COUNT_WINDOW))
 
     @property
     def state_count(self) -> int:
         """States of energy <= e_max: isqrt(e_max - 3*n1^2) of them for each
-        n1 >= 1, with no table.  Explicit buckets sum the count table, which
-        counts only their energies 0..e_max."""
+        n1 >= 1, with no table.  Explicit buckets sum the lengths of their
+        buckets of energy 0..e_max, one count window at a time (`_windows`),
+        and keep no table either; a bucket of more than 255 states raises
+        ValueError, as its window does."""
         if self._buckets is not None:
-            return sum(self.degeneracies())
+            return sum(map(sum, self._windows()))
         e_max = self._e_max
         return sum(math.isqrt(e_max - 3 * n1 * n1) for n1 in range(1, math.isqrt(e_max // 3) + 1))
 
@@ -424,14 +435,17 @@ class Spectrum:
         of `_LEVEL_WINDOW` energies at a time, and the stripe of each window
         (`_stripes`) appends a state's two pieces to its energy's entry as
         it reaches the state, so each level comes out sorted by n1.
-        Explicit buckets given to the constructor are read instead.  The
-        degeneracies are counted one byte per energy, so a level of more
-        than 255 states raises ValueError, as `count_windows` does; the
-        first is at E = 145651423372 (288 states, see `count_windows`),
-        which no walk of the whole range reaches.
+        Explicit buckets given to the constructor are read instead, each
+        count window in turn (`_windows`): the energies whose bucket the
+        window counts, with no table kept.  The degeneracies are counted one
+        byte per energy, so a level of more than 255 states raises
+        ValueError, as `count_windows` does; the first is at
+        E = 145651423372 (288 states, see `count_windows`), which no walk of
+        the whole range reaches.
         """
         if self._buckets is not None:
-            for energy in self:
+            counts = itertools.chain.from_iterable(self._windows())
+            for energy in itertools.compress(range(self._e_max + 1), counts):
                 (n1, n2), *rest = states = self._buckets[energy]
                 joined = firsts[n1] + seconds[n2]
                 for n1, n2 in rest:

@@ -26,7 +26,7 @@ from triform import (
 )
 from triform import brahmagupta as brahmagupta_module
 from triform import spectrum as spectrum_module
-from triform.brahmagupta import _strict, is_strict
+from triform.brahmagupta import _all_integer_count, _strict, is_strict
 
 # all sixteen factorization reps of 91, frozen from the quadruple-loop oracle
 REPS_91 = [
@@ -359,9 +359,13 @@ def _check_against_the_rational_doublet(rep):
 
 def test_is_strict_agrees_with_the_rational_doublet(oracle_reps_5000):
     outcomes = set()
-    for energy, reps in oracle_reps_5000.items():
-        for rep in reps:
-            outcomes.add(_check_against_the_rational_doublet(BrahmaguptaRep(*rep, energy)))
+    for energy in range(5001):
+        reps = [BrahmaguptaRep(*rep, energy) for rep in oracle_reps_5000.get(energy, ())]
+        outcomes.update(_check_against_the_rational_doublet(rep) for rep in reps)
+        # the one all-integer count, which `level` and `doublet_coverage` read,
+        # on the searched reps against `classify_rep` on the oracle's
+        all_integer = sum(classify_rep(rep) is RepClass.ALL_INTEGER for rep in reps)
+        assert _all_integer_count(rep_search(energy)) == all_integer, energy
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 

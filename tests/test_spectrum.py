@@ -395,11 +395,42 @@ def test_degeneracies_read_off_explicit_buckets():
     assert Spectrum(3000, outside).degeneracies() == enumerate_spectrum(3000).degeneracies()
 
 
+# the reads of explicit buckets that keep no table: read -> (the read, what
+# it gives for the buckets' (energy, states) items, ascending)
+_BUCKET_READS = {
+    "raw_items": (lambda s: list(s.raw_items()), lambda items: items),
+    "iter_levels": (lambda s: [(lv.energy, lv.states) for lv in s.iter_levels()],
+                    lambda items: [(e, tuple(states)) for e, states in items]),
+    "text_levels": (lambda s: list(s.text_levels("{}:", "{}", ";")),
+                    lambda items: _rendered(items, "{}:", "{}", ";")),
+    "state_count": (lambda s: s.state_count, lambda items: sum(len(st) for _, st in items)),
+    "build_census": (build_census, lambda items: oracles.bucket_census(
+        SimpleNamespace(e_max=3000, raw_items=lambda: iter(items)))),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_BUCKET_READS))
+def test_bucket_reads_keep_no_table(forks, read):
+    # windows of 64 energies (`forks`); (2, 4) is dropped from 28 and 7 is
+    # deleted, so a read that striped the range instead would differ
+    buckets = {e: list(states) for e, states in enumerate_spectrum(3000).raw_items()}
+    del buckets[28][1]
+    del buckets[7]
+    spectrum = Spectrum(3000, buckets)
+    read_it, expected = _BUCKET_READS[read]
+    assert read_it(spectrum) == expected(sorted(buckets.items()))
+    assert spectrum._counts is None  # each window is read and let go
+    tabled = Spectrum(3000, buckets)
+    len(tabled)  # the windows are now copies out of the table
+    assert read_it(tabled) == expected(sorted(buckets.items()))
+
+
 def test_degeneracies_raise_rather_than_wrap():
     # 255 is the most a byte holds; realized degeneracies first pass it at
     # E = 145651423372, with 288 states
     assert Spectrum(4, {4: [(1, 1)] * 255}).degeneracies()[4] == 255
-    for read in (Spectrum.degeneracies, len, build_census):
+    bucket_reads = [read for read, _ in _BUCKET_READS.values()]
+    for read in (Spectrum.degeneracies, len, *bucket_reads):
         spectrum = Spectrum(4, {4: [(1, 1)] * 256})  # construction counts nothing
         with pytest.raises(ValueError):  # at the first count read
             read(spectrum)
