@@ -70,12 +70,12 @@ def build_census(spectrum: Spectrum) -> CensusReport:
 
     Reads only the count windows (`Spectrum.count_windows`), one at a time,
     never a state and never a whole-range table, so memory stays flat as
-    e_max grows.  Each window is tallied by the process that striped it
+    e_max grows.  Each window is tallied by the process that counted it
     (`window_tally` below), which hands back three lists of ints: the
     same-parity and the opposite-parity histogram of the window and its
     Perrin exceptions.  They come back in ascending window order, and are
     added up here in that order, so the report does not depend on how many
-    CPUs striped the windows.  A window starts at a multiple of 4, so its
+    CPUs counted the windows.  A window starts at a multiple of 4, so its
     same-parity energies, E = 0 (mod 4), are the slice c[0::4], and its
     opposite-parity energies, the odd E, are c[1::2].  Each row of a
     window's histogram is one `bytes.count` of a slice (`_tally`).

@@ -174,7 +174,8 @@ class Spectrum:
     each afresh on every call and one window at a time: the count stripe
     (`count_windows`) maps a function over the state counts of every
     energy, one window of `_COUNT_WINDOW` energies at a time, each window
-    striped and mapped in one process of a round robin on every CPU, and
+    counted (by its divisor sums, or far out by its states) and mapped in
+    one process of a round robin on every CPU, and
     the level stripe (`_levels`) yields the states of every level, one
     window of `_LEVEL_WINDOW` energies at a time.  `raw_items` and
     `iter_levels` read the level stripe as index pairs, and `text_levels`
@@ -218,40 +219,46 @@ class Spectrum:
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` that fn may change (`_window_counts`): the stripe
-        of the window's states, or the lengths of its explicit buckets, or,
-        once the count table is built (`degeneracies`), a copy of its slice.
+        fresh `bytearray` that fn may change (`_window_counts`): its divisor
+        sums below `_DIVISOR_SUM_TOP`, the stripe of its states past it, or
+        the lengths of its explicit buckets, or, once the count table is
+        built (`degeneracies`), a copy of its slice.
 
         The windows are striped on the CPUs of the affinity mask (`_cpus`).
         With c of them, window i goes to process i mod c: 0 is this one,
         and each of the other c - 1 is a worker forked for this stripe, so
         a stripe forks min(c, windows) - 1 of them.  The process that
-        stripes a window runs fn on it, and a worker writes only fn's
+        counts a window runs fn on it, and a worker writes only fn's
         result to its one pipe, with `marshal` (`_count_worker`): ints,
         bytes, lists and the like, which come back as equal values (a
         bytearray as bytes).  This process reads the results back in window
         order.  A window's counts depend on lo and e_max alone, so this
-        process stripes and maps any window whose result does not arrive
+        process counts and maps any window whose result does not arrive
         whole (`_delivered`), as its own: the worker hit a count above 255,
         made a result `marshal` cannot write, died or was killed.  A built
         table or one CPU forks nothing.  The `finally` closes the pipes,
         then kills and reaps every worker, also on an early stop, so that no
-        stop waits on a window being striped or on a worker of a second open
+        stop waits on a window being counted or on a worker of a second open
         stripe, which holds this stripe's read ends.  A worker closes the
         read ends it inherits, so once its reader is gone (this process
         killed, say) its next write fails and it leaves.
 
         A byte holds 255 states at most, and a count above that raises
         ValueError rather than wrapping; a worker that meets one stops, and
-        this process, striping that window again, raises it.  The first
+        this process, counting that window again, raises it.  The first
         count past 255 is at E = 145651423372 = 4*7^2*13*19*31*37*43*61,
         with 288 states: g(E) = floor(eps(E) * d(E) / 2), with d(E) the
         divisor count over the primes p = 1 (mod 3) and eps(E) 3 for
         E = 0 (mod 4) and 1 for odd E, so a same-parity level needs d >= 171,
         seven split primes with one squared (d = 192), and an odd one
         d >= 512, which comes later (the largest g is 108 up to 10^9).
+        The divisor sums of the count windows (`_divisor_counts`) equal
+        that d wherever g > 0, and wrap their byte first at
+        `_DIVISOR_SUM_EXACT` = 254889990901, where d = 256; the crossover
+        `_DIVISOR_SUM_TOP` lies far below it, and a divisor window that
+        reaches it raises.
         """
-        squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
+        squares = _stripe_squares(self._e_max)
         starts = range(0, self._e_max + 1, _COUNT_WINDOW)
         cpus = min(1 if self._counts is not None else _cpus(), len(starts))
         readers: "list[io.BufferedReader]" = []  # worker j's at j - 1
@@ -282,35 +289,39 @@ class Spectrum:
 
     def _window_counts(self, lo: int, squares: "list[int]") -> bytearray:
         """The counts of the window of energies that starts at lo, up to
-        `_COUNT_WINDOW` of them; squares[n2] is n2^2.  The stripe adds 1 at
-        3*n1^2 + n2^2 for every state in the window.  Explicit buckets are
-        read instead, by the length of each energy's bucket in the window;
-        one of more than 255 states raises ValueError, as a striped count
-        past 255 does.  Once the whole table is built (by `degeneracies`), a
-        window is a copy of its slice, so a census after `len` does not
-        count the range again."""
+        `_COUNT_WINDOW` of them.  A window whose top hi is at most
+        `_DIVISOR_SUM_TOP` is counted from the divisor sums of its energies
+        (`_divisor_counts`), about (2/3)*sqrt(hi) slices of bytes; one past
+        it by the stripe (`_stripe_counts`), which adds 1 at 3*n1^2 + n2^2
+        for every state in the window and reads squares[n2] = n2^2
+        (`_stripe_squares`).  Both give the same bytes.  Explicit buckets
+        are read instead, by the length of each energy's bucket in the
+        window; one of more than 255 states raises ValueError, as a count
+        past 255 does on either path.  Once the whole table is built (by
+        `degeneracies`), a window is a copy of its slice, so a census after
+        `len` does not count the range again."""
         hi = min(lo + _COUNT_WINDOW, self._e_max + 1)
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
         if self._buckets is not None:
             return bytearray([len(self._buckets.get(energy, ())) for energy in range(lo, hi)])
-        counts = bytearray(hi - lo)
-        for _, offset, first, stop in _stripes(lo, hi):
-            for square in squares[first:stop]:
-                counts[offset + square] += 1
-        return counts
+        if hi <= _DIVISOR_SUM_TOP:
+            return _divisor_counts(lo, hi)
+        return _stripe_counts(lo, hi, squares)
 
     def degeneracies(self) -> bytes:
         """Number of states of every energy 0..e_max, one byte each (index = energy).
 
-        The count windows (`_windows`), striped in this process one
+        The count windows (`_windows`), counted in this process one
         after the other and written into a buffer sized for the whole table,
         whose bytes `getvalue` hands over without a copy (CPython): the
         build holds the table and one window, where a `bytearray` table and
         its `bytes` copy took twice the table.  A forked worker's window
         would arrive twice, in the pipe's read buffer and as the decoded
-        bytes, and no command builds the table, so nothing is forked.
-        Raises ValueError, as the windows do, for a count above 255.
+        bytes, and no command builds the table, so nothing is forked.  A
+        divisor window (`_divisor_counts`) peaks at about 4/3 of its own
+        bytes, and a striped one holds the squares besides.  Raises
+        ValueError, as the windows do, for a count above 255.
         """
         if self._counts is None:
             table = io.BytesIO()
@@ -324,7 +335,7 @@ class Spectrum:
     def _windows(self) -> "Iterator[bytearray]":
         """The count windows of the range (`_window_counts`), ascending, made
         in this process one at a time, as they are asked for."""
-        squares = [n2 * n2 for n2 in range(math.isqrt(self._e_max) + 1)]
+        squares = _stripe_squares(self._e_max)
         return (self._window_counts(lo, squares)
                 for lo in range(0, self._e_max + 1, _COUNT_WINDOW))
 
@@ -492,13 +503,42 @@ def _level(energy: int, states: "Iterable[tuple[int, int]]") -> EnergyLevel:
 _LEVEL_WINDOW = 1 << 15
 
 # Energies per window of `Spectrum.count_windows`: one byte each, so a
-# window is 1 MB and stays in cache while the stripe writes into it.  A
-# whole-range table at 2*10^7 took about twice as long to stripe.
+# window is 1 MB and stays in cache while its divisor sums or its stripe
+# are written into it.  A whole-range table at 2*10^7 took about twice as
+# long to stripe.  The divisor sums cost about sqrt(hi) slices per window
+# besides, so a window much shorter would pay them more often.
 _COUNT_WINDOW = 1 << 20
+
+# Window tops up to which `Spectrum._window_counts` sums divisors
+# (`_divisor_counts`) instead of striping states (`_stripe_counts`).  The
+# stripe costs one Python step per state, about 0.45 per energy at any
+# height, and the divisor sums about (2/3)*sqrt(hi) slices, so they win
+# low and lose high.  Windows of 2^20 energies from lo, one CPU, medians
+# of nine (2-vCPU x86, Python 3.11), divisor sums against the stripe:
+# 0.007 against 0.037 s at lo = 0, 0.015/0.035 at 10^8, 0.032/0.043 at
+# 10^9, 0.057/0.062 at 4*10^9, 0.067/0.073 at 5*10^9, 0.080/0.078 at
+# 6*10^9 and 0.117/0.097 at 10^10.
+_DIVISOR_SUM_TOP = 4_000_000_000
+
+# The first energy whose divisor sum S reaches 256 and so wraps its byte:
+# 7^3*13*19*31*37*43*61, odd, with 128 states.  Below it S < 256.
+_DIVISOR_SUM_EXACT = 254_889_990_901
+
+# Bytes of `_divisor_sums` and `_divisor_counts`: the terms of d = 1 and
+# d = 2 by E mod 6, chi by d mod 3, 2*chi(d) added mod 256, and the counts
+# from S.  3*S/2 fits a byte only for S < 171; `_UNDER_171` finds the S
+# past that.
+_SEED = b"\0\2\0\0\0\0"
+_CHI = (0, 1, -1)
+_PLUS_TWO = bytes([(b + 2) & 255 for b in range(256)])
+_MINUS_TWO = bytes([(b - 2) & 255 for b in range(256)])
+_HALF = bytes([b >> 1 for b in range(256)])
+_THREE_HALVES = bytes([(3 * b >> 1) & 255 for b in range(256)])
+_UNDER_171 = bytes(range(171))
 
 
 def _cpus() -> int:
-    """The processes `Spectrum.count_windows` stripes and maps its windows
+    """The processes `Spectrum.count_windows` counts and maps its windows
     on, round robin, this one and a forked worker for each other: the CPUs
     of the affinity mask, or 1 without `os.fork` or while a second thread
     runs, which could hold a lock that a forked child never sees released."""
@@ -509,7 +549,7 @@ def _cpus() -> int:
 
 def _count_worker(inherited: "list[io.BufferedReader]", fd: int, results: Iterable[object]) -> None:
     """A forked worker of `Spectrum.count_windows`: close the `inherited`
-    read ends, then make each of `results`, which stripes and maps one
+    read ends, then make each of `results`, which counts and maps one
     window, and write it to the pipe `fd` as one `marshal` record; stop at
     the first result it cannot make or write.  The stripe that forked it
     then holds the only read ends, so a write fails once they are gone.  It
@@ -549,6 +589,86 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
         first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
         yield n1, base - lo, first, math.isqrt(hi - 1 - base) + 1
         n1 += 1
+
+
+def _stripe_squares(e_max: int) -> "list[int]":
+    """n2^2 at n2 for every n2 <= isqrt(e_max), what the count stripe
+    (`_stripe_counts`) reads, or none when no window of 0..e_max is striped:
+    every window then ends at or below `_DIVISOR_SUM_TOP`."""
+    return [n2 * n2 for n2 in range(math.isqrt(e_max) + 1)] if e_max >= _DIVISOR_SUM_TOP else []
+
+
+def _stripe_counts(lo: int, hi: int, squares: "list[int]") -> bytearray:
+    """The state counts of the energies [lo, hi) by the stripe: 1 added at
+    3*n1^2 + n2^2 for every state in the window, one Python step per state.
+    squares[n2] is n2^2 up to n2 = isqrt(hi - 1) at least.  A count past 255
+    raises ValueError, from the byte itself."""
+    counts = bytearray(hi - lo)
+    for _, offset, first, stop in _stripes(lo, hi):
+        for square in squares[first:stop]:
+            counts[offset + square] += 1
+    return counts
+
+
+def _divisor_counts(lo: int, hi: int) -> bytearray:
+    """The state counts of the energies [lo, hi), the same bytes as
+    `_stripe_counts`, from S(E) = sum of chi(d) over the divisors d of E,
+    where chi is the character mod 3 (1 at d = 1, -1 at d = 2, 0 at 3 | d).
+    The states of E are g(E) = floor(3*S/2) for E = 0 (mod 4), floor(S/2)
+    for odd E, and none for E = 2 (mod 4), where S = 0 (Cox, Primes of the
+    Form x^2 + ny^2, sections 1-2; the form is 3*n1^2 + n2^2).
+
+    S is held mod 256 in the window's own bytes (`_divisor_sums`), and is
+    exact there only while it stays below 256: the first E with S = 256 is
+    `_DIVISOR_SUM_EXACT`, so a window that reaches it raises ValueError.
+    A same-parity count past 255 (S > 170, first at E = 145651423372 with
+    288 states) raises ValueError too, as the stripe does.  The sums become
+    counts an eighth of the window at a time, so no copy holds more."""
+    if hi > _DIVISOR_SUM_EXACT:
+        raise ValueError(f"divisor sums wrap a byte at E = {_DIVISOR_SUM_EXACT}, "
+                         f"in the window [{lo}, {hi})")
+    counts = _divisor_sums(lo, hi)
+    for at in range(8):
+        residue = (lo + at) % 4
+        if residue == 2:
+            continue  # S = 0
+        eighth = counts[at::8]
+        if residue == 0 and eighth.translate(None, _UNDER_171):
+            raise ValueError(f"a level in [{lo}, {hi}) holds more than 255 states")
+        counts[at::8] = eighth.translate(_THREE_HALVES if residue == 0 else _HALF)
+    return counts
+
+
+def _divisor_sums(lo: int, hi: int) -> bytearray:
+    """S(E) mod 256 for the energies [lo, hi), one byte each, by three rules:
+    S = 0 for E = 2 (mod 3); S(E) = S(E/3) for 3 | E, the same sums on the
+    window of E/3, a third as long, made first and written to every third
+    byte; and for E = 1 (mod 3), where d and E/d share chi,
+    S = 2 * (the sum of chi(d) over the divisors d < sqrt(E)) + chi(t) when
+    E = t^2.
+
+    That is 2*chi(d) at d^2 + 3dk, k >= 0, for each d <= sqrt(hi) prime to
+    3, less chi(t) at each square t^2.  d = 1 and d = 2 give 2 at every
+    E = 1 (mod 6), the six-byte seed repeated in place; each larger d is
+    one slice of stride 3d through an add-2 or a subtract-2 table.  The
+    energy 0 keeps S = 0."""
+    third = max(1, -(-lo // 3))  # E/3 at the first multiple of 3 in the window, past 0
+    thirds = _divisor_sums(third, -(-hi // 3)) if 3 * third < hi else b""
+    n, k = hi - lo, lo % 6
+    sums = bytearray(_SEED[k:] + _SEED[:k]) * -(-n // 6)
+    del sums[n:]
+    sums[3 * third - lo::3] = thirds
+    del thirds  # let go before the slices copy, so the peak is 4/3 of the window
+    top = math.isqrt(hi - 1)
+    for first, table in ((4, _PLUS_TWO), (5, _MINUS_TWO)):
+        for d in range(first, top + 1, 3):
+            step = 3 * d
+            at = d * d - lo
+            at = max(at, at % step)  # the first d^2 + 3dk in the window
+            sums[at::step] = sums[at::step].translate(table)
+    for t in range(math.isqrt(max(lo - 1, 0)) + 1, top + 1):
+        sums[t * t - lo] = (sums[t * t - lo] - _CHI[t % 3]) & 255
+    return sums
 
 
 def enumerate_spectrum(e_max: int) -> Spectrum:

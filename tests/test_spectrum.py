@@ -37,6 +37,7 @@ from triform import spectrum as spectrum_module
 from triform.brahmagupta import rep_search
 from triform.cli import _STATE_FRAGMENTS
 from triform.spectrum import _LEVEL_WINDOW as W, _prime_rows, _rep_tuples, factorize, form_solutions
+from triform.spectrum import _DIVISOR_SUM_EXACT, _divisor_counts, _stripe_counts
 
 # e_max on both sides of the level walk's first two window edges, W and 2*W
 _LEVEL_EDGES = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1]
@@ -1105,3 +1106,75 @@ def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
         count = oracles.divisor_sum_degeneracy(energy)
         assert len(form_solutions(energy)) == spectrum.degeneracy_of(energy) == count, energy
     assert spectrum._counts is None
+
+
+# ------------------------------------------- divisor-sum count windows
+
+def _striped(lo, hi):
+    """The stripe's counts of the energies [lo, hi), the derivation the
+    divisor windows are held to."""
+    return _stripe_counts(lo, hi, [n2 * n2 for n2 in range(math.isqrt(hi - 1) + 1)])
+
+
+def test_divisor_windows_of_64_equal_the_stripe_up_to_5000(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
+    windows = list(enumerate_spectrum(5000).count_windows(_pair))
+    assert [lo for lo, _ in windows] == list(range(0, 5001, 64))
+    for lo, counts in windows:
+        hi = min(lo + 64, 5001)
+        assert counts == _divisor_counts(lo, hi) == _striped(lo, hi), lo
+
+
+@pytest.mark.parametrize("lo", [k << 20 for k in range(4)])
+def test_divisor_window_equals_the_stripe_at_window_starts(lo):
+    assert _divisor_counts(lo, lo + (1 << 20)) == _striped(lo, lo + (1 << 20))
+
+
+@pytest.mark.parametrize("lo", [10**8, 10**9, 10**10])
+def test_divisor_window_equals_the_stripe_far_out(lo):
+    # each path called directly, on either side of the crossover
+    counts = _divisor_counts(lo, lo + (1 << 20))
+    assert counts == _striped(lo, lo + (1 << 20))
+    assert max(counts) > 8  # far out, levels of many states are counted too
+
+
+@pytest.mark.parametrize("e_max", [3 * 4096 + 1, 100_003])
+def test_census_and_table_agree_on_either_side_of_the_crossover(monkeypatch, e_max):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 4096)
+    reads = []
+    # every window striped, every window summed, and both in one range
+    for top, unused in ((0, "_divisor_counts"), (e_max + 1, "_stripe_counts"), (e_max // 2, None)):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum_module, "_DIVISOR_SUM_TOP", top)
+            if unused:
+                patch.setattr(spectrum_module, unused, None)
+            reads.append((build_census(enumerate_spectrum(e_max)),
+                          enumerate_spectrum(e_max).degeneracies()))
+    assert reads[0][1] == bytes(oracles.divisor_sum_degeneracies(e_max))
+    assert reads[1] == reads[0] and reads[2] == reads[0]
+
+
+def test_divisor_sums_stay_below_a_byte_up_to_the_crossover():
+    # 7^3*13*19*31*37*43*61 is the first E whose divisor sum is 256 (odd,
+    # 128 states); below it the sums held mod 256 are exact
+    assert _DIVISOR_SUM_EXACT == 7**3 * 13 * 19 * 31 * 37 * 43 * 61 == 254_889_990_901
+    assert len(form_solutions(_DIVISOR_SUM_EXACT)) == 128
+    assert spectrum_module._DIVISOR_SUM_TOP < _DIVISOR_SUM_EXACT
+
+
+def test_a_divisor_window_reaching_a_wrapped_sum_raises():
+    last = _DIVISOR_SUM_EXACT
+    for lo, hi in ((last, last + 1), (last - 4, last + 1), (last - 4, last + 64)):
+        with pytest.raises(ValueError):
+            _divisor_counts(lo, hi)
+    # the window that stops just short of it is counted
+    below = range(last - 4, last)
+    assert list(_divisor_counts(below.start, below.stop)) == [len(form_solutions(e)) for e in below]
+
+
+def test_a_divisor_window_past_a_count_byte_raises_as_the_stripe_does():
+    energy = 145_651_423_372  # 288 states, see test_first_level_past_a_count_byte
+    for count in (_divisor_counts, _striped):
+        with pytest.raises(ValueError):
+            count(energy - 8, energy + 8)
+    assert list(_divisor_counts(energy - 8, energy)) == list(_striped(energy - 8, energy))
