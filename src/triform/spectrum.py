@@ -174,13 +174,12 @@ class Spectrum:
     each afresh on every call and one window at a time: the count stripe
     (`count_windows`) maps a function over the state counts of every
     energy, one window of `_COUNT_WINDOW` energies at a time, each window
-    counted (by its divisor sums, or far out by its states) and mapped in
-    one process of a round robin on every CPU, and
-    the level stripe (`_levels`) yields the states of every level, one
-    window of `_LEVEL_WINDOW` energies at a time.  `raw_items` and
-    `iter_levels` read the level stripe as index pairs, and `text_levels`
-    as text.  Each process holds one window and never the whole range, so
-    memory stays flat as e_max grows.
+    counted from its divisor sums and mapped in one process of a round
+    robin on every CPU, and the level stripe (`_levels`) yields the states
+    of every level, one window of `_LEVEL_WINDOW` energies at a time.
+    `raw_items` and `iter_levels` read the level stripe as index pairs, and
+    `text_levels` as text.  Each process holds one window and never the
+    whole range, so memory stays flat as e_max grows.
 
     One energy is solved, never read off a table: `degeneracy_of`, `in`
     and `[]` take an int 0 <= E <= e_max, and solve it (`form_solutions`,
@@ -219,10 +218,9 @@ class Spectrum:
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
         is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` that fn may change (`_window_counts`): its divisor
-        sums below `_DIVISOR_SUM_TOP`, the stripe of its states past it, or
-        the lengths of its explicit buckets, or, once the count table is
-        built (`degeneracies`), a copy of its slice.
+        fresh `bytearray` that fn may change (`_window_counts`): its counts
+        from its divisor sums, or the lengths of its explicit buckets, or,
+        once the count table is built (`degeneracies`), a copy of its slice.
 
         The windows are striped on the CPUs of the affinity mask (`_cpus`).
         With c of them, window i goes to process i mod c: 0 is this one,
@@ -254,11 +252,10 @@ class Spectrum:
         d >= 512, which comes later (the largest g is 108 up to 10^9).
         The divisor sums of the count windows (`_divisor_counts`) equal
         that d wherever g > 0, and wrap their byte first at
-        `_DIVISOR_SUM_EXACT` = 254889990901, where d = 256; the crossover
-        `_DIVISOR_SUM_TOP` lies far below it, and a divisor window that
-        reaches it raises.
+        `_DIVISOR_SUM_EXACT` = 254889990901, where d = 256; a window that
+        reaches it raises, and a range from 0 has raised at 145651423372
+        before.
         """
-        squares = _stripe_squares(self._e_max)
         starts = range(0, self._e_max + 1, _COUNT_WINDOW)
         cpus = min(1 if self._counts is not None else _cpus(), len(starts))
         readers: "list[io.BufferedReader]" = []  # worker j's at j - 1
@@ -270,7 +267,7 @@ class Spectrum:
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _count_worker(readers, w, (fn(lo, self._window_counts(lo, squares))
+                        _count_worker(readers, w, (fn(lo, self._window_counts(lo))
                                                    for lo in starts[j::cpus]))
                     pids.append(pid)
                 finally:
@@ -278,7 +275,7 @@ class Spectrum:
             for i, lo in enumerate(starts):
                 result = _delivered(readers[i % cpus - 1]) if i % cpus else None
                 if result is None:  # this process's window, or one its worker did not deliver
-                    result = (fn(lo, self._window_counts(lo, squares)),)
+                    result = (fn(lo, self._window_counts(lo)),)
                 yield result[0]
         finally:
             for reader in readers:
@@ -287,27 +284,21 @@ class Spectrum:
                 os.kill(pid, 9)  # SIGKILL, POSIX's 9
                 os.waitpid(pid, 0)
 
-    def _window_counts(self, lo: int, squares: "list[int]") -> bytearray:
+    def _window_counts(self, lo: int) -> bytearray:
         """The counts of the window of energies that starts at lo, up to
-        `_COUNT_WINDOW` of them.  A window whose top hi is at most
-        `_DIVISOR_SUM_TOP` is counted from the divisor sums of its energies
-        (`_divisor_counts`), about (2/3)*sqrt(hi) slices of bytes; one past
-        it by the stripe (`_stripe_counts`), which adds 1 at 3*n1^2 + n2^2
-        for every state in the window and reads squares[n2] = n2^2
-        (`_stripe_squares`).  Both give the same bytes.  Explicit buckets
-        are read instead, by the length of each energy's bucket in the
-        window; one of more than 255 states raises ValueError, as a count
-        past 255 does on either path.  Once the whole table is built (by
-        `degeneracies`), a window is a copy of its slice, so a census after
-        `len` does not count the range again."""
+        `_COUNT_WINDOW` of them, from the divisor sums of its energies
+        (`_divisor_counts`): about (2/3)*sqrt(hi) slices of bytes for a
+        window whose top is hi.  Explicit buckets are read instead, by the
+        length of each energy's bucket in the window; one of more than 255
+        states raises ValueError, as a count past 255 does.  Once the whole
+        table is built (by `degeneracies`), a window is a copy of its slice,
+        so a census after `len` does not count the range again."""
         hi = min(lo + _COUNT_WINDOW, self._e_max + 1)
         if self._counts is not None:
             return bytearray(memoryview(self._counts)[lo:hi])
         if self._buckets is not None:
             return bytearray([len(self._buckets.get(energy, ())) for energy in range(lo, hi)])
-        if hi <= _DIVISOR_SUM_TOP:
-            return _divisor_counts(lo, hi)
-        return _stripe_counts(lo, hi, squares)
+        return _divisor_counts(lo, hi)
 
     def degeneracies(self) -> bytes:
         """Number of states of every energy 0..e_max, one byte each (index = energy).
@@ -319,9 +310,8 @@ class Spectrum:
         its `bytes` copy took twice the table.  A forked worker's window
         would arrive twice, in the pipe's read buffer and as the decoded
         bytes, and no command builds the table, so nothing is forked.  A
-        divisor window (`_divisor_counts`) peaks at about 4/3 of its own
-        bytes, and a striped one holds the squares besides.  Raises
-        ValueError, as the windows do, for a count above 255.
+        window (`_divisor_counts`) peaks at about 4/3 of its own bytes.
+        Raises ValueError, as the windows do, for a count above 255.
         """
         if self._counts is None:
             table = io.BytesIO()
@@ -335,9 +325,7 @@ class Spectrum:
     def _windows(self) -> "Iterator[bytearray]":
         """The count windows of the range (`_window_counts`), ascending, made
         in this process one at a time, as they are asked for."""
-        squares = _stripe_squares(self._e_max)
-        return (self._window_counts(lo, squares)
-                for lo in range(0, self._e_max + 1, _COUNT_WINDOW))
+        return (self._window_counts(lo) for lo in range(0, self._e_max + 1, _COUNT_WINDOW))
 
     @property
     def state_count(self) -> int:
@@ -503,22 +491,12 @@ def _level(energy: int, states: "Iterable[tuple[int, int]]") -> EnergyLevel:
 _LEVEL_WINDOW = 1 << 15
 
 # Energies per window of `Spectrum.count_windows`: one byte each, so a
-# window is 1 MB and stays in cache while its divisor sums or its stripe
-# are written into it.  A whole-range table at 2*10^7 took about twice as
-# long to stripe.  The divisor sums cost about sqrt(hi) slices per window
-# besides, so a window much shorter would pay them more often.
+# window is 1 MB and stays in cache while its divisor sums are written
+# into it.  The sums cost about (2/3)*sqrt(hi) slices per window, so a
+# window much shorter would pay them more often: a window of 2^20 took
+# 0.007 s at lo = 0, 0.032 s at 10^9 and 0.117 s at 10^10 (one CPU,
+# medians of nine, 2-vCPU x86, Python 3.11).
 _COUNT_WINDOW = 1 << 20
-
-# Window tops up to which `Spectrum._window_counts` sums divisors
-# (`_divisor_counts`) instead of striping states (`_stripe_counts`).  The
-# stripe costs one Python step per state, about 0.45 per energy at any
-# height, and the divisor sums about (2/3)*sqrt(hi) slices, so they win
-# low and lose high.  Windows of 2^20 energies from lo, one CPU, medians
-# of nine (2-vCPU x86, Python 3.11), divisor sums against the stripe:
-# 0.007 against 0.037 s at lo = 0, 0.015/0.035 at 10^8, 0.032/0.043 at
-# 10^9, 0.057/0.062 at 4*10^9, 0.067/0.073 at 5*10^9, 0.080/0.078 at
-# 6*10^9 and 0.117/0.097 at 10^10.
-_DIVISOR_SUM_TOP = 4_000_000_000
 
 # The first energy whose divisor sum S reaches 256 and so wraps its byte:
 # 7^3*13*19*31*37*43*61, odd, with 128 states.  Below it S < 256.
@@ -582,8 +560,7 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
     energies [lo, hi), ascending: the states in the window are (n1, n2) for
     n2 in range(first, stop), which may be empty, and (n1, n2) has the
     energy lo + offset + n2^2.  The one place the stripe bounds are worked
-    out: the count stripe, the level stripe and the census seed walk share
-    it."""
+    out: the level stripe and the census seed walk share it."""
     n1 = 1
     while (base := 3 * n1 * n1) + 1 < hi:
         first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
@@ -591,29 +568,10 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
         n1 += 1
 
 
-def _stripe_squares(e_max: int) -> "list[int]":
-    """n2^2 at n2 for every n2 <= isqrt(e_max), what the count stripe
-    (`_stripe_counts`) reads, or none when no window of 0..e_max is striped:
-    every window then ends at or below `_DIVISOR_SUM_TOP`."""
-    return [n2 * n2 for n2 in range(math.isqrt(e_max) + 1)] if e_max >= _DIVISOR_SUM_TOP else []
-
-
-def _stripe_counts(lo: int, hi: int, squares: "list[int]") -> bytearray:
-    """The state counts of the energies [lo, hi) by the stripe: 1 added at
-    3*n1^2 + n2^2 for every state in the window, one Python step per state.
-    squares[n2] is n2^2 up to n2 = isqrt(hi - 1) at least.  A count past 255
-    raises ValueError, from the byte itself."""
-    counts = bytearray(hi - lo)
-    for _, offset, first, stop in _stripes(lo, hi):
-        for square in squares[first:stop]:
-            counts[offset + square] += 1
-    return counts
-
-
 def _divisor_counts(lo: int, hi: int) -> bytearray:
-    """The state counts of the energies [lo, hi), the same bytes as
-    `_stripe_counts`, from S(E) = sum of chi(d) over the divisors d of E,
-    where chi is the character mod 3 (1 at d = 1, -1 at d = 2, 0 at 3 | d).
+    """The state counts of the energies [lo, hi), one byte each, from
+    S(E) = sum of chi(d) over the divisors d of E, where chi is the
+    character mod 3 (1 at d = 1, -1 at d = 2, 0 at 3 | d).
     The states of E are g(E) = floor(3*S/2) for E = 0 (mod 4), floor(S/2)
     for odd E, and none for E = 2 (mod 4), where S = 0 (Cox, Primes of the
     Form x^2 + ny^2, sections 1-2; the form is 3*n1^2 + n2^2).
@@ -622,7 +580,7 @@ def _divisor_counts(lo: int, hi: int) -> bytearray:
     exact there only while it stays below 256: the first E with S = 256 is
     `_DIVISOR_SUM_EXACT`, so a window that reaches it raises ValueError.
     A same-parity count past 255 (S > 170, first at E = 145651423372 with
-    288 states) raises ValueError too, as the stripe does.  The sums become
+    288 states) raises ValueError too.  The sums become
     counts an eighth of the window at a time, so no copy holds more."""
     if hi > _DIVISOR_SUM_EXACT:
         raise ValueError(f"divisor sums wrap a byte at E = {_DIVISOR_SUM_EXACT}, "

@@ -295,6 +295,21 @@ def divisor_sum_degeneracies(n_max: int) -> "list[int]":
     return [0] + [_states_from_r(n, r[n]) for n in range(1, n_max + 1)]
 
 
+def stripe_counts(lo: int, hi: int) -> bytearray:
+    """Number of states of every energy lo..hi-1 (index = energy - lo), one
+    byte each: 1 added at 3*n1^2 + n2^2 for every state (n1, n2 >= 1) that
+    lands in the window, one step per state.  A count past 255 raises
+    ValueError, from the byte itself."""
+    counts = bytearray(hi - lo)
+    n1 = 1
+    while (base := 3 * n1 * n1) + 1 < hi:
+        first = math.isqrt(max(lo - base - 1, 0)) + 1  # the least n2 with base + n2^2 >= lo
+        for n2 in range(first, math.isqrt(hi - 1 - base) + 1):
+            counts[base + n2 * n2 - lo] += 1
+        n1 += 1
+    return counts
+
+
 def sieve_factorizations(n_max: int) -> "list[list[tuple[int, int]]]":
     """(prime, exponent) factorization of every n in 0..n_max (index = n), read
     off a smallest-prime-factor sieve instead of trial division."""

@@ -37,7 +37,7 @@ from triform import spectrum as spectrum_module
 from triform.brahmagupta import rep_search
 from triform.cli import _STATE_FRAGMENTS
 from triform.spectrum import _LEVEL_WINDOW as W, _prime_rows, _rep_tuples, factorize, form_solutions
-from triform.spectrum import _DIVISOR_SUM_EXACT, _divisor_counts, _stripe_counts
+from triform.spectrum import _DIVISOR_SUM_EXACT, _divisor_counts
 
 # e_max on both sides of the level walk's first two window edges, W and 2*W
 _LEVEL_EDGES = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1]
@@ -359,10 +359,10 @@ def test_count_windows_read_a_built_table(monkeypatch, naive_2700):
     spectrum = enumerate_spectrum(2700)
     table = spectrum.degeneracies()
 
-    def no_stripe(lo, hi):
-        raise AssertionError("striped again")
+    def no_count(lo, hi):
+        raise AssertionError("counted again")
 
-    monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
+    monkeypatch.setattr(spectrum_module, "_divisor_counts", no_count)
     windows = list(spectrum.count_windows(_pair))  # off the table, in this process
     assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
     assert all(isinstance(c, bytearray) for _, c in windows)
@@ -377,10 +377,10 @@ def test_explicit_bucket_count_windows_never_stripe(monkeypatch):
     spectrum = Spectrum(2700, dict(items))
     assert spectrum._counts is None  # the buckets are stored, not counted
 
-    def no_stripe(lo, hi):
-        raise AssertionError("striped explicit buckets")
+    def no_count(lo, hi):
+        raise AssertionError("counted explicit buckets")
 
-    monkeypatch.setattr(spectrum_module, "_stripes", no_stripe)
+    monkeypatch.setattr(spectrum_module, "_divisor_counts", no_count)
     windows = list(spectrum.count_windows(_pair))
     assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
     assert b"".join(c for _, c in windows) == bytes(
@@ -449,10 +449,10 @@ def test_a_bucket_past_a_byte_in_a_worker_window_raises_here(monkeypatch, forks)
     window_counts = Spectrum._window_counts
     striped_here = []
 
-    def recorded(self, lo, squares):
+    def recorded(self, lo):
         if os.getpid() == parent:
             striped_here.append(lo // 64)
-        return window_counts(self, lo, squares)
+        return window_counts(self, lo)
 
     monkeypatch.setattr(Spectrum, "_window_counts", recorded)
     with pytest.raises(ValueError):
@@ -508,9 +508,9 @@ def test_each_window_is_mapped_by_the_process_that_stripes_it(monkeypatch, forks
     window_counts = Spectrum._window_counts
     striper = {}
 
-    def recorded(self, lo, squares):
+    def recorded(self, lo):
         striper["pid"] = os.getpid()
-        return window_counts(self, lo, squares)
+        return window_counts(self, lo)
 
     def mapped(lo, counts):
         return lo, striper["pid"], os.getpid()
@@ -532,10 +532,10 @@ def test_a_worker_value_error_surfaces_with_its_message(monkeypatch, forks):
         overflow[0] += 256
     message = str(raised.value)
 
-    def planted(self, lo, squares):
+    def planted(self, lo):
         if lo == 320:
             overflow[0] += 256  # a count above 255, in whichever process stripes it
-        return window_counts(self, lo, squares)
+        return window_counts(self, lo)
 
     monkeypatch.setattr(Spectrum, "_window_counts", planted)
     windows = enumerate_spectrum(1000).count_windows(_pair)
@@ -559,12 +559,12 @@ def test_a_worker_that_stops_early_leaves_its_windows_to_this_process(monkeypatc
     at, undelivered = (7, [7, 10, 13]) if stop == "dies" else (14, [14])
     striped_here = []
 
-    def planted(self, lo, squares):
+    def planted(self, lo):
         if os.getpid() == parent:
             striped_here.append(lo // 64)
         elif lo == at * 64 and stop == "dies":
             os._exit(3)
-        return window_counts(self, lo, squares)
+        return window_counts(self, lo)
 
     def dump(result, pipe):
         record = marshal.dumps(result)
@@ -1109,57 +1109,46 @@ def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
 
 
 # ------------------------------------------- divisor-sum count windows
-
-def _striped(lo, hi):
-    """The stripe's counts of the energies [lo, hi), the derivation the
-    divisor windows are held to."""
-    return _stripe_counts(lo, hi, [n2 * n2 for n2 in range(math.isqrt(hi - 1) + 1)])
-
+# The divisor windows are held to the stripe of the states themselves
+# (`oracles.stripe_counts`), a different derivation of the same counts.
 
 def test_divisor_windows_of_64_equal_the_stripe_up_to_5000(monkeypatch):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
     windows = list(enumerate_spectrum(5000).count_windows(_pair))
     assert [lo for lo, _ in windows] == list(range(0, 5001, 64))
     for lo, counts in windows:
-        hi = min(lo + 64, 5001)
-        assert counts == _divisor_counts(lo, hi) == _striped(lo, hi), lo
+        assert counts == oracles.stripe_counts(lo, min(lo + 64, 5001)), lo
 
 
 @pytest.mark.parametrize("lo", [k << 20 for k in range(4)])
 def test_divisor_window_equals_the_stripe_at_window_starts(lo):
-    assert _divisor_counts(lo, lo + (1 << 20)) == _striped(lo, lo + (1 << 20))
+    assert _divisor_counts(lo, lo + (1 << 20)) == oracles.stripe_counts(lo, lo + (1 << 20))
 
 
 @pytest.mark.parametrize("lo", [10**8, 10**9, 10**10])
 def test_divisor_window_equals_the_stripe_far_out(lo):
-    # each path called directly, on either side of the crossover
     counts = _divisor_counts(lo, lo + (1 << 20))
-    assert counts == _striped(lo, lo + (1 << 20))
+    assert counts == oracles.stripe_counts(lo, lo + (1 << 20))
     assert max(counts) > 8  # far out, levels of many states are counted too
 
 
 @pytest.mark.parametrize("e_max", [3 * 4096 + 1, 100_003])
-def test_census_and_table_agree_on_either_side_of_the_crossover(monkeypatch, e_max):
+def test_census_and_table_from_divisor_sums_equal_those_from_the_stripe(monkeypatch, e_max):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 4096)
-    reads = []
-    # every window striped, every window summed, and both in one range
-    for top, unused in ((0, "_divisor_counts"), (e_max + 1, "_stripe_counts"), (e_max // 2, None)):
-        with monkeypatch.context() as patch:
-            patch.setattr(spectrum_module, "_DIVISOR_SUM_TOP", top)
-            if unused:
-                patch.setattr(spectrum_module, unused, None)
-            reads.append((build_census(enumerate_spectrum(e_max)),
-                          enumerate_spectrum(e_max).degeneracies()))
-    assert reads[0][1] == bytes(oracles.divisor_sum_degeneracies(e_max))
-    assert reads[1] == reads[0] and reads[2] == reads[0]
+    summed = (build_census(enumerate_spectrum(e_max)), enumerate_spectrum(e_max).degeneracies())
+    monkeypatch.setattr(spectrum_module, "_divisor_counts", oracles.stripe_counts)
+    striped = (build_census(enumerate_spectrum(e_max)), enumerate_spectrum(e_max).degeneracies())
+    assert summed[1] == bytes(oracles.divisor_sum_degeneracies(e_max))
+    assert striped == summed
 
 
-def test_divisor_sums_stay_below_a_byte_up_to_the_crossover():
+def test_divisor_sums_stay_below_a_byte_in_any_range_that_counts():
     # 7^3*13*19*31*37*43*61 is the first E whose divisor sum is 256 (odd,
-    # 128 states); below it the sums held mod 256 are exact
+    # 128 states); below it the sums held mod 256 are exact.  A range from
+    # 0 raises at the first count past a byte, 145651423372, long before.
     assert _DIVISOR_SUM_EXACT == 7**3 * 13 * 19 * 31 * 37 * 43 * 61 == 254_889_990_901
     assert len(form_solutions(_DIVISOR_SUM_EXACT)) == 128
-    assert spectrum_module._DIVISOR_SUM_TOP < _DIVISOR_SUM_EXACT
+    assert 145_651_423_372 < _DIVISOR_SUM_EXACT
 
 
 def test_a_divisor_window_reaching_a_wrapped_sum_raises():
@@ -1174,7 +1163,7 @@ def test_a_divisor_window_reaching_a_wrapped_sum_raises():
 
 def test_a_divisor_window_past_a_count_byte_raises_as_the_stripe_does():
     energy = 145_651_423_372  # 288 states, see test_first_level_past_a_count_byte
-    for count in (_divisor_counts, _striped):
+    for count in (_divisor_counts, oracles.stripe_counts):
         with pytest.raises(ValueError):
             count(energy - 8, energy + 8)
-    assert list(_divisor_counts(energy - 8, energy)) == list(_striped(energy - 8, energy))
+    assert _divisor_counts(energy - 8, energy) == oracles.stripe_counts(energy - 8, energy)
