@@ -15,9 +15,11 @@ each line as its cells joined by commas, the rule `spectrum`'s CSV shares
 '/'), and the table is a list of lines read off the same records.  No view
 goes back to the domain objects.
 
-Three JSON views are templates instead, written piece by piece in bytes
+Two JSON views are templates instead, written piece by piece in bytes
 equal to the `json.dump` of the whole document: with `indent` set, `json`
-uses its pure-Python encoder, one call per list element.
+uses its pure-Python encoder, one call per list element.  Each is kept
+because a workload of perfbench/ times it: `spectrum` (spectrum_dump) and
+`level` (energy_queries).
 `spectrum`, whose output grows with --emax, builds no record: the
 spectrum's text walk (`Spectrum.text_levels`) yields each level with its
 states already written as one string, from the fragments of the chosen
@@ -26,7 +28,8 @@ string, the JSON by template and the CSV and table as one line each, in
 the bytes the record views print.
 `level` builds its record, and only its JSON prints the reps, each with
 v3 and v4 printed off its doubled coordinates (`_half_text`), one rep at a
-time; `braham reps` writes its reps the same way.
+time.  `braham reps`, which no workload times, prints all three formats
+through the record views, its v3 and v4 from `_half_text` as well.
 
 Exit codes: 0 success / conjectures hold; 1 domain-level negative result
 (no such level, counterexample found); 2 usage or input error; 141 the
@@ -67,6 +70,7 @@ from .census import (  # noqa: F401
 )
 from .perrin import match_perrin
 from .spectrum import (
+    _FIRST_PAST_A_BYTE,
     EmptySpectrumError,
     Parity,
     enumerate_spectrum,
@@ -101,17 +105,10 @@ def parse_rational(text: str) -> Fraction:
 _MAX_DIGITS = 700
 
 
-# The least energy of more than 255 states, 4*7^2*13*19*31*37*43*61 with 288
-# of them.  The count stripe holds a state count in one byte, so a spectrum,
-# census or verify that reaches it would stripe for hours, then fail, and at
-# 10^20 the tables it sets up first fill memory.  So --emax stays below it.
-_EMAX_BOUND = 145_651_423_372
-
-
 class _OutOfBounds(Exception):
     """An argument past its bound: a number that spells too many digits, or
-    an --emax of `_EMAX_BOUND` or more.  Not a ValueError, so argparse lets
-    it through to `main`, which reports it on one line."""
+    an --emax of `_FIRST_PAST_A_BYTE` or more.  Not a ValueError, so
+    argparse lets it through to `main`, which reports it on one line."""
 
 
 def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
@@ -141,10 +138,12 @@ def _bounded(parse: "Callable[[str], object]") -> "Callable[[str], object]":
 
 
 def _emax(text: str) -> int:
-    """--emax as an int, refused from `_EMAX_BOUND` on."""
+    """--emax as an int, refused from `_FIRST_PAST_A_BYTE` on: the count
+    windows hold a state count in one byte, so a spectrum, census or verify
+    that reaches it would count for hours, then fail."""
     e_max = int(text)
-    if e_max >= _EMAX_BOUND:
-        raise _OutOfBounds(f"--emax must be below {_EMAX_BOUND}, the least energy "
+    if e_max >= _FIRST_PAST_A_BYTE:
+        raise _OutOfBounds(f"--emax must be below {_FIRST_PAST_A_BYTE}, the least energy "
                            f"of more than 255 states")
     return e_max
 
@@ -461,20 +460,6 @@ def _reps_table(doc: dict, reps: "list[dict]") -> "list[str]":
     ]
 
 
-def _write_reps_json(doc: dict) -> None:
-    """Write the reps document: the bytes equal `json.dump(doc, indent=2)`
-    plus a newline, with each rep written as its own piece."""
-    write = sys.stdout.write
-    write(f'{{\n  "energy": {doc["energy"]},\n  "mode": "{doc["mode"]}",\n  "reps": [')
-    sep = "\n"
-    for r in doc["reps"]:
-        write(f'{sep}    {{\n      "v1": {r["v1"]},\n      "v2": {r["v2"]},\n'
-              f'      "v3": "{r["v3"]}",\n      "v4": "{r["v4"]}",\n'
-              f'      "class": "{r["class"]}"\n    }}')
-        sep = ",\n"
-    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
-
-
 def cmd_braham_reps(args: argparse.Namespace) -> int:
     if args.energy < 4:
         return _fail_usage("energy must be at least 4")
@@ -485,9 +470,6 @@ def cmd_braham_reps(args: argparse.Namespace) -> int:
         for r in rep_search(args.energy, mode)
     ]
     doc = {"energy": args.energy, "mode": mode.value, "reps": reps}
-    if args.format == "json":
-        _write_reps_json(doc)
-        return 0
     _render(args, doc, ["v1", "v2", "v3", "v4", "class"], reps, _reps_table)
     return 0
 

@@ -183,14 +183,16 @@ class Spectrum:
 
     One energy is solved, never read off a table: `degeneracy_of`, `in`
     and `[]` take an int 0 <= E <= e_max, and solve it (`form_solutions`,
-    `level_of`).  The whole-range reads use the one store, the count table
-    (`degeneracies`), one byte per energy, built from the count windows in
-    this process on first use and cached: iteration (the realized
-    energies, ascending) and `len`.  `state_count` sums one square root per
-    n1 instead, and over explicit buckets it and the level walk read the
-    count windows one at a time (`_windows`), so neither keeps a table.
-    The table is a pure function of e_max and the buckets, so concurrent
-    readers that race to build it build the same value and stay safe.
+    `level_of`).  Only `len` and `degeneracies` build the one store, the
+    count table, one byte per energy, from the count windows in this
+    process on first use, and cache it.  Iteration (the realized energies,
+    ascending) streams the count windows one at a time (`_windows`), which
+    are copies of the table's slices once it is built, and keeps no table.
+    `state_count` sums one square root per n1 instead, and over explicit
+    buckets it and the level walk read the count windows one at a time
+    too.  The table is a pure function of e_max and the buckets, so
+    concurrent readers that race to build it build the same value and
+    stay safe.
     """
 
     __slots__ = ("_e_max", "_buckets", "_counts")
@@ -344,8 +346,11 @@ class Spectrum:
         return len(counts) - counts.count(0)
 
     def __iter__(self) -> Iterator[int]:
-        counts = self.degeneracies()
-        return itertools.compress(range(len(counts)), counts)
+        """The realized energies, ascending: the count windows (`_windows`)
+        read one at a time, so no table is built, and once `len` or
+        `degeneracies` has built one, each window is a copy of its slice."""
+        counts = itertools.chain.from_iterable(self._windows())
+        return itertools.compress(range(self._e_max + 1), counts)
 
     def __contains__(self, energy: object) -> bool:
         return self.degeneracy_of(energy) > 0
@@ -434,17 +439,16 @@ class Spectrum:
         of `_LEVEL_WINDOW` energies at a time, and the stripe of each window
         (`_stripes`) appends a state's two pieces to its energy's entry as
         it reaches the state, so each level comes out sorted by n1.
-        Explicit buckets given to the constructor are read instead, each
-        count window in turn (`_windows`): the energies whose bucket the
-        window counts, with no table kept.  The degeneracies are counted one
+        Explicit buckets given to the constructor are read instead, at
+        the energies that iteration yields from the count windows of their
+        lengths, with no table kept.  The degeneracies are counted one
         byte per energy, so a level of more than 255 states raises
         ValueError, as `count_windows` does; the first is at
         E = 145651423372 (288 states, see `count_windows`), which no walk of
         the whole range reaches.
         """
         if self._buckets is not None:
-            counts = itertools.chain.from_iterable(self._windows())
-            for energy in itertools.compress(range(self._e_max + 1), counts):
+            for energy in self:
                 (n1, n2), *rest = states = self._buckets[energy]
                 joined = firsts[n1] + seconds[n2]
                 for n1, n2 in rest:
@@ -497,6 +501,10 @@ _LEVEL_WINDOW = 1 << 15
 # 0.007 s at lo = 0, 0.032 s at 10^9 and 0.117 s at 10^10 (one CPU,
 # medians of nine, 2-vCPU x86, Python 3.11).
 _COUNT_WINDOW = 1 << 20
+
+# The least energy of more than 255 states, 4*7^2*13*19*31*37*43*61 with
+# 288 of them: a count window that reaches it raises (see `count_windows`).
+_FIRST_PAST_A_BYTE = 145_651_423_372
 
 # The first energy whose divisor sum S reaches 256 and so wraps its byte:
 # 7^3*13*19*31*37*43*61, odd, with 128 states.  Below it S < 256.

@@ -37,7 +37,7 @@ from triform import spectrum as spectrum_module
 from triform.brahmagupta import rep_search
 from triform.cli import _STATE_FRAGMENTS
 from triform.spectrum import _LEVEL_WINDOW as W, _prime_rows, _rep_tuples, factorize, form_solutions
-from triform.spectrum import _DIVISOR_SUM_EXACT, _divisor_counts
+from triform.spectrum import _DIVISOR_SUM_EXACT, _FIRST_PAST_A_BYTE, _divisor_counts
 
 # e_max on both sides of the level walk's first two window edges, W and 2*W
 _LEVEL_EDGES = [W - 1, W, W + 1, 2 * W - 1, 2 * W, 2 * W + 1]
@@ -100,7 +100,7 @@ def test_first_level_past_a_count_byte():
     # so the CLI refuses an --emax from here on, while the solve and `[]`
     # still read the level
     energy = 145_651_423_372
-    assert energy == 4 * 7**2 * 13 * 19 * 31 * 37 * 43 * 61
+    assert energy == _FIRST_PAST_A_BYTE == 4 * 7**2 * 13 * 19 * 31 * 37 * 43 * 61
     assert level_of(energy).degeneracy == 288
     assert enumerate_spectrum(energy)[energy] == level_of(energy)
 
@@ -338,6 +338,37 @@ def test_degeneracies_hold_the_table_and_one_window(monkeypatch):
         tracemalloc.stop()
     assert counts == b"".join(c for _, c in spectrum.count_windows(_pair))
     assert peak < len(counts) + 2 * window, f"peak {peak / 2**10:.0f} KB"
+
+
+def test_iteration_streams_the_count_windows(monkeypatch):
+    # a table of 2^22 energies is 4 MB; iteration holds one 64 KB window
+    window = 1 << 16
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
+    spectrum = enumerate_spectrum(1 << 22)
+    tracemalloc.start()
+    try:
+        for _ in spectrum:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * window, f"peak {peak / 2**10:.0f} KB"
+    assert spectrum._counts is None
+
+    fresh = enumerate_spectrum(1 << 22).degeneracies()
+
+    def equals_the_table():
+        expected = itertools.compress(itertools.count(), fresh)
+        return all(a == b for a, b in itertools.zip_longest(spectrum, expected))
+
+    assert equals_the_table()
+    len(spectrum)  # builds the table, whose slices iteration then copies
+
+    def no_count(lo, hi):
+        raise AssertionError("counted again")
+
+    monkeypatch.setattr(spectrum_module, "_divisor_counts", no_count)
+    assert equals_the_table()
 
 
 @pytest.mark.parametrize("window", [4, 64, 1 << 20])
@@ -1148,7 +1179,7 @@ def test_divisor_sums_stay_below_a_byte_in_any_range_that_counts():
     # 0 raises at the first count past a byte, 145651423372, long before.
     assert _DIVISOR_SUM_EXACT == 7**3 * 13 * 19 * 31 * 37 * 43 * 61 == 254_889_990_901
     assert len(form_solutions(_DIVISOR_SUM_EXACT)) == 128
-    assert 145_651_423_372 < _DIVISOR_SUM_EXACT
+    assert _FIRST_PAST_A_BYTE < _DIVISOR_SUM_EXACT
 
 
 def test_a_divisor_window_reaching_a_wrapped_sum_raises():
