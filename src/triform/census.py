@@ -14,12 +14,13 @@ enumerated range.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
 from .brahmagupta import RepMode, _all_integer_count, rep_search
 from .perrin import match_perrin
-from .spectrum import Parity, Spectrum, _Record, _stripes
+from .spectrum import Parity, Spectrum, _Record
 
 __all__ = ["CensusReport", "CensusRow", "DoubletCoverage", "build_census",
            "check_brahmagupta_conjecture", "check_perrin_conjecture", "doublet_coverage"]
@@ -75,43 +76,53 @@ def build_census(spectrum: Spectrum) -> CensusReport:
     same-parity and the opposite-parity histogram of the window and its
     Perrin exceptions.  They come back in ascending window order, and are
     added up here in that order, so the report does not depend on how many
-    CPUs counted the windows.  A window starts at a multiple of 4, so its
-    same-parity energies, E = 0 (mod 4), are the slice c[0::4], and its
-    opposite-parity energies, the odd E, are c[1::2].  Each row of a
-    window's histogram is one `bytes.count` of a slice (`_tally`).
+    CPUs counted the windows.  A window comes as its two realized classes,
+    the same-parity counts (E = 0 (mod 4)) and the odd ones, and each row
+    of a class's histogram is one `bytes.count` (`_tally`).
 
     Perrin tally: a same-parity 3-fold level holds a triplet exactly when
     some seed (m1, m2), m2 > m1 >= 1, has its energy 4*(m1^2 + m1*m2 + m2^2),
     because the seed's triplet is then three distinct states of the level,
     which has no others.  That energy is 3*m1^2 + (m1 + 2*m2)^2, so the seed
     energies are those of the states (n1, n2) with n2 > 3*n1 and n2 = n1
-    (mod 2), and the stripe bounds of the window (`_stripes`) find them.
-    The walk zeroes the count of each seed energy in the window, and every
-    same-parity count still equal to 3 is a counterexample.  It runs in
-    every window, one with no 3-fold level too, where it finds none, and
-    stops at the first n1 whose stripe holds no seed state.  `find_seed`
-    over the states is the independent route (`check_perrin_conjecture`).
+    (mod 2).  The walk reads them as N = E/4, the index of the same-parity
+    counts, from two tables: n1 = 2a, n2 = 2b gives N = 3a^2 + b^2 for
+    b >= 3a + 1 (`squares`), and n1 = 2a + 1, n2 = 2b + 1 gives
+    N = 3a(a + 1) + 1 + b(b + 1) for b >= 3a + 2 (`pronics`).  It zeroes
+    the count of each seed energy in the window, and every same-parity
+    count still equal to 3 is a counterexample.  It runs in every window,
+    one with no 3-fold level too, where it finds none, and stops for each
+    table at the first a whose least seed lies past the window.
+    `find_seed` over the states is the independent route
+    (`check_perrin_conjecture`).
 
     Doublet tally: `brahmagupta_total` counts the doublet levels, and each
     is covered without a search, since a state (n1, n2) witnesses the rep
     (1, 1, n1/2, n2/2) of its own energy, (3+1)*(3*n1^2+n2^2)/4 = E.
     `check_brahmagupta_conjecture` is the search-based route.
     """
-    squares = [n2 * n2 for n2 in range(math.isqrt(spectrum.e_max) + 1)]
+    # b^2 and b(b + 1) for b up to isqrt(e_max/4) + 3: past every N of the
+    # range, with room for the walk's `least`, which grows by 3 with each a,
+    # to step once past it
+    squares = [b * b for b in range(math.isqrt(spectrum.e_max // 4) + 4)]
+    pronics = [b * b + b for b in range(len(squares))]
 
-    def window_tally(lo: int, counts: bytearray) -> "list[list[int]]":
-        found = [_tally(counts[0::4]), _tally(counts[1::2]), []]
-        for n1, offset, first, stop in _stripes(lo, lo + len(counts)):
-            if stop <= 3 * n1 + 1:
-                break  # no seed state for this n1 or any larger one
-            start = max(first, 3 * n1 + 1)
-            for square in squares[start + (start - n1) % 2:stop:2]:
-                counts[offset + square] = 0
-        unmatched = counts[0::4]
-        q = unmatched.find(3)
+    def window_tally(lo: int, same: bytearray, odd: bytearray) -> "list[list[int]]":
+        found = [_tally(same), _tally(odd), []]
+        low, high = lo // 4, lo // 4 + len(same)  # the N of the window
+        for table, a, shift in ((squares, 1, 0), (pronics, 0, 1)):
+            # the seeds of one a are N = base + table[b] for b >= least, at
+            # same[offset + table[b]], and the least of them grows with a
+            while (base := 3 * a * (a + shift) + shift) + table[least := 3 * a + 1 + shift] < high:
+                start = max(bisect.bisect_left(table, low - base), least)
+                offset = base - low
+                for value in table[start:bisect.bisect_left(table, high - base, start)]:
+                    same[offset + value] = 0
+                a += 1
+        q = same.find(3)
         while q >= 0:
             found[2].append(lo + 4 * q)
-            q = unmatched.find(3, q + 1)
+            q = same.find(3, q + 1)
         return found
 
     # levels[parity][g - 1]: number of levels of degeneracy g

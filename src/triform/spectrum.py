@@ -174,7 +174,8 @@ class Spectrum:
     each afresh on every call and one window at a time: the count stripe
     (`count_windows`) maps a function over the state counts of every
     energy, one window of `_COUNT_WINDOW` energies at a time, each window
-    counted from its divisor sums and mapped in one process of a round
+    counted as its two realized classes, the same-parity and the odd
+    energies, from their divisor sums and mapped in one process of a round
     robin on every CPU, and the level stripe (`_levels`) yields the states
     of every level, one window of `_LEVEL_WINDOW` energies at a time.
     `raw_items` and `iter_levels` read the level stripe as index pairs, and
@@ -186,8 +187,9 @@ class Spectrum:
     `level_of`).  Only `len` and `degeneracies` build the one store, the
     count table, one byte per energy, from the count windows in this
     process on first use, and cache it.  Iteration (the realized energies,
-    ascending) streams the count windows one at a time (`_windows`), which
-    are copies of the table's slices once it is built, and keeps no table.
+    ascending) streams the count windows one at a time (`_windows`), each
+    pair interleaved back into one window, and keeps no table; once the
+    table is built, each pair is a copy of its slices.
     `state_count` sums one square root per n1 instead, and over explicit
     buckets it and the level walk read the count windows one at a time
     too.  The table is a pure function of e_max and the buckets, so
@@ -214,15 +216,19 @@ class Spectrum:
     def e_max(self) -> int:
         return self._e_max
 
-    def count_windows(self, fn: "Callable[[int, bytearray], object]") -> Iterator[object]:
-        """fn(lo, counts) for consecutive windows that cover 0..e_max, in
-        ascending lo: counts[i] is the number of states of energy lo + i.
+    def count_windows(
+        self, fn: "Callable[[int, bytearray, bytearray], object]"
+    ) -> Iterator[object]:
+        """fn(lo, same, odd) for consecutive windows that cover 0..e_max, in
+        ascending lo: the state counts of the window's two realized classes,
+        same[i] of energy lo + 4*i and odd[i] of energy lo + 1 + 2*i.  No
+        state has E = 2 (mod 4), so no count of the window is left out.
 
         Every window but the last holds `_COUNT_WINDOW` energies, so each lo
-        is a multiple of that power of two (and of 4).  Each window is a
-        fresh `bytearray` that fn may change (`_window_counts`): its counts
-        from its divisor sums, or the lengths of its explicit buckets, or,
-        once the count table is built (`degeneracies`), a copy of its slice.
+        is a multiple of that power of two (and of 4).  same and odd are
+        fresh `bytearray`s that fn may change (`_window_counts`): the counts
+        from the divisor sums, or the lengths of the explicit buckets, or,
+        once the count table is built (`degeneracies`), copies of its slices.
 
         The windows are striped on the CPUs of the affinity mask (`_cpus`).
         With c of them, window i goes to process i mod c: 0 is this one,
@@ -269,7 +275,7 @@ class Spectrum:
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _count_worker(readers, w, (fn(lo, self._window_counts(lo))
+                        _count_worker(readers, w, (fn(lo, *self._window_counts(lo))
                                                    for lo in starts[j::cpus]))
                     pids.append(pid)
                 finally:
@@ -277,7 +283,7 @@ class Spectrum:
             for i, lo in enumerate(starts):
                 result = _delivered(readers[i % cpus - 1]) if i % cpus else None
                 if result is None:  # this process's window, or one its worker did not deliver
-                    result = (fn(lo, self._window_counts(lo)),)
+                    result = (fn(lo, *self._window_counts(lo)),)
                 yield result[0]
         finally:
             for reader in readers:
@@ -286,20 +292,23 @@ class Spectrum:
                 os.kill(pid, 9)  # SIGKILL, POSIX's 9
                 os.waitpid(pid, 0)
 
-    def _window_counts(self, lo: int) -> bytearray:
-        """The counts of the window of energies that starts at lo, up to
-        `_COUNT_WINDOW` of them, from the divisor sums of its energies
-        (`_divisor_counts`): about (2/3)*sqrt(hi) slices of bytes for a
-        window whose top is hi.  Explicit buckets are read instead, by the
-        length of each energy's bucket in the window; one of more than 255
-        states raises ValueError, as a count past 255 does.  Once the whole
-        table is built (by `degeneracies`), a window is a copy of its slice,
-        so a census after `len` does not count the range again."""
+    def _window_counts(self, lo: int) -> "tuple[bytearray, bytearray]":
+        """The pair (same, odd) of the window of energies that starts at lo,
+        up to `_COUNT_WINDOW` of them (see `count_windows`), made once per
+        source: from the divisor sums of its energies (`_divisor_counts`),
+        about (1/2)*sqrt(hi) slices of bytes for a window whose top is hi.
+        Explicit buckets are read instead, by the length of each energy's
+        bucket in the two classes, so a bucket at an E = 2 (mod 4), which
+        no state reaches, is not read; one of more than 255 states raises
+        ValueError, as a count past 255 does.  Once the whole table is
+        built (by `degeneracies`), the pair is a copy of its two slices, so
+        a census after `len` does not count the range again."""
         hi = min(lo + _COUNT_WINDOW, self._e_max + 1)
         if self._counts is not None:
-            return bytearray(memoryview(self._counts)[lo:hi])
+            return bytearray(self._counts[lo:hi:4]), bytearray(self._counts[lo + 1:hi:2])
         if self._buckets is not None:
-            return bytearray([len(self._buckets.get(energy, ())) for energy in range(lo, hi)])
+            sizes = [len(self._buckets.get(energy, ())) for energy in range(lo, hi)]
+            return bytearray(sizes[0::4]), bytearray(sizes[1::2])
         return _divisor_counts(lo, hi)
 
     def degeneracies(self) -> bytes:
@@ -312,8 +321,8 @@ class Spectrum:
         its `bytes` copy took twice the table.  A forked worker's window
         would arrive twice, in the pipe's read buffer and as the decoded
         bytes, and no command builds the table, so nothing is forked.  A
-        window (`_divisor_counts`) peaks at about 4/3 of its own bytes.
-        Raises ValueError, as the windows do, for a count above 255.
+        window and the pair it is interleaved from peak at 7/4 of its own
+        bytes.  Raises ValueError, as the windows do, for a count above 255.
         """
         if self._counts is None:
             table = io.BytesIO()
@@ -325,9 +334,12 @@ class Spectrum:
         return self._counts
 
     def _windows(self) -> "Iterator[bytearray]":
-        """The count windows of the range (`_window_counts`), ascending, made
-        in this process one at a time, as they are asked for."""
-        return (self._window_counts(lo) for lo in range(0, self._e_max + 1, _COUNT_WINDOW))
+        """The whole count windows of the range, ascending, made in this
+        process one at a time, as they are asked for: the pair of each
+        (`_window_counts`) interleaved (`_interleaved`)."""
+        end = self._e_max + 1
+        return (_interleaved(self._window_counts(lo), min(_COUNT_WINDOW, end - lo))
+                for lo in range(0, end, _COUNT_WINDOW))
 
     @property
     def state_count(self) -> int:
@@ -348,7 +360,8 @@ class Spectrum:
     def __iter__(self) -> Iterator[int]:
         """The realized energies, ascending: the count windows (`_windows`)
         read one at a time, so no table is built, and once `len` or
-        `degeneracies` has built one, each window is a copy of its slice."""
+        `degeneracies` has built one, each window's pair is a copy of its
+        slices."""
         counts = itertools.chain.from_iterable(self._windows())
         return itertools.compress(range(self._e_max + 1), counts)
 
@@ -496,9 +509,9 @@ _LEVEL_WINDOW = 1 << 15
 
 # Energies per window of `Spectrum.count_windows`: one byte each, so a
 # window is 1 MB and stays in cache while its divisor sums are written
-# into it.  The sums cost about (2/3)*sqrt(hi) slices per window, so a
+# into it.  The sums cost about (1/2)*sqrt(hi) slices per window, so a
 # window much shorter would pay them more often: a window of 2^20 took
-# 0.007 s at lo = 0, 0.032 s at 10^9 and 0.117 s at 10^10 (one CPU,
+# 0.003 s at lo = 0, 0.025 s at 10^9 and 0.069 s at 10^10 (one CPU,
 # medians of nine, 2-vCPU x86, Python 3.11).
 _COUNT_WINDOW = 1 << 20
 
@@ -510,11 +523,11 @@ _FIRST_PAST_A_BYTE = 145_651_423_372
 # 7^3*13*19*31*37*43*61, odd, with 128 states.  Below it S < 256.
 _DIVISOR_SUM_EXACT = 254_889_990_901
 
-# Bytes of `_divisor_sums` and `_divisor_counts`: the terms of d = 1 and
-# d = 2 by E mod 6, chi by d mod 3, 2*chi(d) added mod 256, and the counts
-# from S.  3*S/2 fits a byte only for S < 171; `_UNDER_171` finds the S
-# past that.
-_SEED = b"\0\2\0\0\0\0"
+# Bytes of `_odd_sums` and `_divisor_counts`: the term of d = 1 at the odd
+# E = 1, 3, 5 (mod 6), chi by d mod 3, 2*chi(d) added mod 256, and the
+# counts from S.  3*S/2 fits a byte only for S < 171; `_UNDER_171` finds
+# the S past that.
+_SEED = b"\2\0\0"
 _CHI = (0, 1, -1)
 _PLUS_TWO = bytes([(b + 2) & 255 for b in range(256)])
 _MINUS_TWO = bytes([(b - 2) & 255 for b in range(256)])
@@ -563,12 +576,21 @@ def _delivered(reader: "io.BufferedReader") -> "Optional[tuple[object]]":
         return None
 
 
+def _interleaved(pair: "tuple[bytes, bytes]", n: int) -> bytearray:
+    """The counts of the n energies of a window from lo, a multiple of 4,
+    one byte each, from the window's pair (same, odd)
+    (`Spectrum.count_windows`): same at the offsets 0, 4, 8, ..., odd at
+    1, 3, 5, ..., and 0 at every E = 2 (mod 4)."""
+    window = bytearray(n)
+    window[0::4], window[1::2] = pair
+    return window
+
+
 def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
     """(n1, offset, first, stop) for every n1 whose states can reach the
     energies [lo, hi), ascending: the states in the window are (n1, n2) for
     n2 in range(first, stop), which may be empty, and (n1, n2) has the
-    energy lo + offset + n2^2.  The one place the stripe bounds are worked
-    out: the level stripe and the census seed walk share it."""
+    energy lo + offset + n2^2.  The bounds of the level stripe (`_levels`)."""
     n1 = 1
     while (base := 3 * n1 * n1) + 1 < hi:
         first = math.isqrt(lo - base - 1) + 1 if lo > base else 1
@@ -576,64 +598,79 @@ def _stripes(lo: int, hi: int) -> "Iterator[tuple[int, int, int, int]]":
         n1 += 1
 
 
-def _divisor_counts(lo: int, hi: int) -> bytearray:
-    """The state counts of the energies [lo, hi), one byte each, from
+def _divisor_counts(lo: int, hi: int) -> "tuple[bytearray, bytearray]":
+    """The state counts of the energies [lo, hi), lo a multiple of 4, as
+    the pair (same, odd) of `Spectrum.count_windows`, from
     S(E) = sum of chi(d) over the divisors d of E, where chi is the
     character mod 3 (1 at d = 1, -1 at d = 2, 0 at 3 | d).
     The states of E are g(E) = floor(3*S/2) for E = 0 (mod 4), floor(S/2)
     for odd E, and none for E = 2 (mod 4), where S = 0 (Cox, Primes of the
-    Form x^2 + ny^2, sections 1-2; the form is 3*n1^2 + n2^2).
+    Form x^2 + ny^2, sections 1-2; the form is 3*n1^2 + n2^2).  S(4N) = S(N),
+    so the same-parity counts are those of the sums over the window of
+    E/4, a quarter as long (`_divisor_sums`), and the odd counts come from
+    the odd sums (`_odd_sums`).
 
-    S is held mod 256 in the window's own bytes (`_divisor_sums`), and is
-    exact there only while it stays below 256: the first E with S = 256 is
-    `_DIVISOR_SUM_EXACT`, so a window that reaches it raises ValueError.
-    A same-parity count past 255 (S > 170, first at E = 145651423372 with
-    288 states) raises ValueError too.  The sums become
-    counts an eighth of the window at a time, so no copy holds more."""
+    S is held mod 256 in the bytes, and is exact there only while it stays
+    below 256: the first E with S = 256 is `_DIVISOR_SUM_EXACT`, so a
+    window that reaches it raises ValueError.  A same-parity count past
+    255 (S > 170, first at E = 145651423372 with 288 states) raises
+    ValueError too."""
     if hi > _DIVISOR_SUM_EXACT:
         raise ValueError(f"divisor sums wrap a byte at E = {_DIVISOR_SUM_EXACT}, "
                          f"in the window [{lo}, {hi})")
-    counts = _divisor_sums(lo, hi)
-    for at in range(8):
-        residue = (lo + at) % 4
-        if residue == 2:
-            continue  # S = 0
-        eighth = counts[at::8]
-        if residue == 0 and eighth.translate(None, _UNDER_171):
-            raise ValueError(f"a level in [{lo}, {hi}) holds more than 255 states")
-        counts[at::8] = eighth.translate(_THREE_HALVES if residue == 0 else _HALF)
-    return counts
+    same = _divisor_sums(lo // 4, -(-hi // 4))
+    if same.translate(None, _UNDER_171):
+        raise ValueError(f"a level in [{lo}, {hi}) holds more than 255 states")
+    return same.translate(_THREE_HALVES), _odd_sums(lo, hi).translate(_HALF)
 
 
 def _divisor_sums(lo: int, hi: int) -> bytearray:
-    """S(E) mod 256 for the energies [lo, hi), one byte each, by three rules:
-    S = 0 for E = 2 (mod 3); S(E) = S(E/3) for 3 | E, the same sums on the
-    window of E/3, a third as long, made first and written to every third
-    byte; and for E = 1 (mod 3), where d and E/d share chi,
-    S = 2 * (the sum of chi(d) over the divisors d < sqrt(E)) + chi(t) when
-    E = t^2.
+    """S(E) mod 256 for every energy of [lo, hi), one byte each: the odd E
+    from `_odd_sums`; S = 0 for E = 2 (mod 4), as S(2) = 0 and S is
+    multiplicative; and S(E) = S(E/4) for 4 | E, the same sums on the
+    window of E/4, a quarter as long, made first and written to every
+    fourth byte.  The energy 0 keeps S = 0."""
+    sums = bytearray(hi - lo)
+    sums[(lo | 1) - lo::2] = _odd_sums(lo, hi)
+    quarter = max(1, -(-lo // 4))  # E/4 at the first multiple of 4 in the window, past 0
+    if 4 * quarter < hi:
+        sums[4 * quarter - lo::4] = _divisor_sums(quarter, -(-hi // 4))
+    return sums
 
-    That is 2*chi(d) at d^2 + 3dk, k >= 0, for each d <= sqrt(hi) prime to
-    3, less chi(t) at each square t^2.  d = 1 and d = 2 give 2 at every
-    E = 1 (mod 6), the six-byte seed repeated in place; each larger d is
-    one slice of stride 3d through an add-2 or a subtract-2 table.  The
-    energy 0 keeps S = 0."""
-    third = max(1, -(-lo // 3))  # E/3 at the first multiple of 3 in the window, past 0
-    thirds = _divisor_sums(third, -(-hi // 3)) if 3 * third < hi else b""
-    n, k = hi - lo, lo % 6
-    sums = bytearray(_SEED[k:] + _SEED[:k]) * -(-n // 6)
+
+def _odd_sums(lo: int, hi: int) -> bytearray:
+    """S(E) mod 256 for the odd energies of [lo, hi), one byte each, by
+    three rules: S = 0 for E = 5 (mod 6); S(E) = S(E/3) for E = 3 (mod 6),
+    the odd sums on the window of E/3, a third as long, made first and
+    written to every third byte; and for E = 1 (mod 6), where d and E/d
+    share chi, S = 2 * (the sum of chi(d) over the divisors d < sqrt(E))
+    + chi(t) when E = t^2.
+
+    Only odd d divide an odd E, and d*(d + 3k) is odd only for even k, so
+    that is 2*chi(d) at d^2 + 6dj, j >= 0, for each odd d <= sqrt(hi) prime
+    to 3, less chi(t) at each odd square t^2 with t prime to 3.  d = 1
+    gives 2 at every E = 1 (mod 6), the three-byte seed repeated in place;
+    each larger d is one slice of stride 3d, 6d in energy, through an add-2
+    or a subtract-2 table."""
+    first, n = lo | 1, hi // 2 - lo // 2  # the least odd energy, and how many
+    third = -(-lo // 3) | 1  # the least odd E/3 of a multiple of 3 in the window
+    thirds = _odd_sums(third, -(-hi // 3)) if 3 * third < hi else b""
+    k = first % 6 // 2
+    sums = bytearray(_SEED[k:] + _SEED[:k]) * -(-n // 3)
     del sums[n:]
-    sums[3 * third - lo::3] = thirds
-    del thirds  # let go before the slices copy, so the peak is 4/3 of the window
+    sums[(3 * third - first) // 2::3] = thirds
+    del thirds  # let go before the slices copy
     top = math.isqrt(hi - 1)
-    for first, table in ((4, _PLUS_TWO), (5, _MINUS_TWO)):
-        for d in range(first, top + 1, 3):
+    for least, table in ((7, _PLUS_TWO), (5, _MINUS_TWO)):
+        for d in range(least, top + 1, 6):
             step = 3 * d
-            at = d * d - lo
-            at = max(at, at % step)  # the first d^2 + 3dk in the window
+            at = (d * d - first) // 2
+            at = max(at, at % step)  # the first d^2 + 6dj in the window
             sums[at::step] = sums[at::step].translate(table)
-    for t in range(math.isqrt(max(lo - 1, 0)) + 1, top + 1):
-        sums[t * t - lo] = (sums[t * t - lo] - _CHI[t % 3]) & 255
+    for t in range(math.isqrt(max(lo - 1, 0)) + 1 | 1, top + 1, 2):
+        if t % 3:
+            at = (t * t - first) // 2
+            sums[at] = (sums[at] - _CHI[t % 3]) & 255
     return sums
 
 

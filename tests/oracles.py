@@ -240,6 +240,20 @@ def scan_match_seed(energy: int, states) -> "tuple[int, int] | None":
     return None
 
 
+def seed_energies(e_max: int) -> "set[int]":
+    """Every energy 4*(m1^2 + m1*m2 + m2^2) <= e_max of a Perrin seed
+    (m1, m2), m2 > m1 >= 1, by a loop over m1 and m2."""
+    seeds = set()
+    m1 = 1
+    while 4 * (m1 * m1 + m1 * (m1 + 1) + (m1 + 1) ** 2) <= e_max:
+        m2 = m1 + 1
+        while (energy := 4 * (m1 * m1 + m1 * m2 + m2 * m2)) <= e_max:
+            seeds.add(energy)
+            m2 += 1
+        m1 += 1
+    return seeds
+
+
 def inverse_rep_mixed_variant(first, second, xi):
     """`inverse_rep` with v1 built from mixed indices: v1 = (q1 + p2) * xi.
 

@@ -141,6 +141,23 @@ def test_census_reports_planted_triplets_at_every_window_size(monkeypatch, windo
     assert report == oracles.bucket_census(spectrum)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("window", [4, 64, _COUNT_WINDOW])
+def test_census_walks_every_seed_energy(monkeypatch, forks, window, cpus):
+    # a 3-fold bucket at every same-parity energy up to 3000: the walk
+    # zeroes exactly the seed energies of the (m1, m2) loop, and each other
+    # energy is an exception, in every window of every process
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
+    monkeypatch.setattr(spectrum_module, "_cpus", lambda: cpus)
+    energies = range(4, 3001, 4)
+    report = build_census(Spectrum(3000, {e: [(1, 1), (2, 2), (3, 3)] for e in energies}))
+    seeds = oracles.seed_energies(3000)
+    assert report.perrin_total == len(energies)
+    assert report.perrin_exceptions == tuple(e for e in energies if e not in seeds)
+    assert len(seeds) > 100 and 28 in seeds and 4 not in seeds
+    assert len(forks) == min(cpus, 3000 // window + 1) - 1
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_census_of_explicit_buckets_stripes_on_every_cpu(monkeypatch, forks, cpus):
     # windows of 64 energies: 100 lies in window 1 and 136 in window 2, each

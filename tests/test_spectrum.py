@@ -318,11 +318,24 @@ def test_degeneracies_table(spectrum_2700, naive_2700):
     assert spectrum_2700.degeneracies() is counts
 
 
-def _pair(lo, counts):
-    """The count stripe's map for tests: each window as (lo, counts).  A
-    worker's counts come back as bytes, which compare equal to the
-    bytearray of the same window."""
-    return lo, counts
+def _pair(lo, same, odd):
+    """The count stripe's map for tests: each window as (lo, counts), its
+    pair interleaved (`_interleaved`) up to its last energy of either
+    class, so an energy = 2 (mod 4) that ends the range, which holds no
+    state, is left off.  A worker's counts come back as bytes, which
+    compare equal to the bytearray of the same window."""
+    return lo, spectrum_module._interleaved((same, odd), max(4 * len(same) - 3, 2 * len(odd)))
+
+
+def _classes(counts):
+    """The pair (same, odd) of the counts of a window from a multiple of 4,
+    which holds no state at E = 2 (mod 4)."""
+    assert not any(counts[2::4])
+    return counts[0::4], counts[1::2]
+
+
+def _triple(lo, same, odd):
+    return lo, same, odd
 
 
 def test_degeneracies_hold_the_table_and_one_window(monkeypatch):
@@ -375,9 +388,10 @@ def test_iteration_streams_the_count_windows(monkeypatch):
 def test_count_windows_cover_the_range(monkeypatch, naive_2700, window):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", window)
 
-    def checked(lo, counts):
-        assert isinstance(counts, bytearray)  # in whichever process stripes it
-        return lo, counts
+    def checked(lo, same, odd):
+        # in whichever process stripes it
+        assert isinstance(same, bytearray) and isinstance(odd, bytearray)
+        return _pair(lo, same, odd)
 
     windows = list(enumerate_spectrum(2700).count_windows(checked))
     assert [lo for lo, _ in windows] == list(range(0, 2701, window))
@@ -394,11 +408,11 @@ def test_count_windows_read_a_built_table(monkeypatch, naive_2700):
         raise AssertionError("counted again")
 
     monkeypatch.setattr(spectrum_module, "_divisor_counts", no_count)
-    windows = list(spectrum.count_windows(_pair))  # off the table, in this process
-    assert [lo for lo, _ in windows] == list(range(0, 2701, 64))
-    assert all(isinstance(c, bytearray) for _, c in windows)
-    assert b"".join(c for _, c in windows) == table
-    windows[0][1][4] = 9  # a window is the caller's copy
+    windows = list(spectrum.count_windows(_triple))  # off the table, in this process
+    assert [lo for lo, _, _ in windows] == list(range(0, 2701, 64))
+    assert all(isinstance(c, bytearray) for _, same, odd in windows for c in (same, odd))
+    assert b"".join(_pair(*window)[1] for window in windows) == table
+    windows[0][1][1] = 9  # the pair is the caller's copy: same[1] is E = 4
     assert spectrum.degeneracies()[4] == 1 == len(naive_2700[4])
 
 
@@ -543,7 +557,7 @@ def test_each_window_is_mapped_by_the_process_that_stripes_it(monkeypatch, forks
         striper["pid"] = os.getpid()
         return window_counts(self, lo)
 
-    def mapped(lo, counts):
+    def mapped(lo, same, odd):
         return lo, striper["pid"], os.getpid()
 
     monkeypatch.setattr(Spectrum, "_window_counts", recorded)
@@ -661,7 +675,7 @@ def recorded():
     return pid
 
 os.fork = recorded
-windows = spectrum.enumerate_spectrum(1 << 23).count_windows(lambda lo, counts: counts)
+windows = spectrum.enumerate_spectrum(1 << 23).count_windows(lambda lo, same, odd: (same, odd))
 next(windows)
 print("read", flush=True)
 sys.stdin.read()
@@ -1140,34 +1154,49 @@ def test_form_solutions_count_matches_the_divisor_sum_at_large_energies():
 
 
 # ------------------------------------------- divisor-sum count windows
-# The divisor windows are held to the stripe of the states themselves
-# (`oracles.stripe_counts`), a different derivation of the same counts.
+# The pair of every count-window source is held to the stripe of the states
+# themselves (`oracles.stripe_counts`), a different derivation of the same
+# counts.
+
+def _assert_windows_of_64_equal_the_stripe(spectrum):
+    windows = list(spectrum.count_windows(_triple))
+    assert [lo for lo, _, _ in windows] == list(range(0, spectrum.e_max + 1, 64))
+    for lo, same, odd in windows:
+        counts = oracles.stripe_counts(lo, min(lo + 64, spectrum.e_max + 1))
+        assert (same, odd) == _classes(counts), lo
+
 
 def test_divisor_windows_of_64_equal_the_stripe_up_to_5000(monkeypatch):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
-    windows = list(enumerate_spectrum(5000).count_windows(_pair))
-    assert [lo for lo, _ in windows] == list(range(0, 5001, 64))
-    for lo, counts in windows:
-        assert counts == oracles.stripe_counts(lo, min(lo + 64, 5001)), lo
+    _assert_windows_of_64_equal_the_stripe(enumerate_spectrum(5000))
+
+
+def test_table_and_bucket_windows_of_64_equal_the_stripe_up_to_5000(monkeypatch):
+    monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 64)
+    tabled = enumerate_spectrum(5000)
+    tabled.degeneracies()
+    for spectrum in (tabled, Spectrum(5000, oracles.naive_levels(5000))):
+        _assert_windows_of_64_equal_the_stripe(spectrum)
 
 
 @pytest.mark.parametrize("lo", [k << 20 for k in range(4)])
 def test_divisor_window_equals_the_stripe_at_window_starts(lo):
-    assert _divisor_counts(lo, lo + (1 << 20)) == oracles.stripe_counts(lo, lo + (1 << 20))
+    assert _divisor_counts(lo, lo + (1 << 20)) == _classes(oracles.stripe_counts(lo, lo + (1 << 20)))
 
 
 @pytest.mark.parametrize("lo", [10**8, 10**9, 10**10])
 def test_divisor_window_equals_the_stripe_far_out(lo):
-    counts = _divisor_counts(lo, lo + (1 << 20))
-    assert counts == oracles.stripe_counts(lo, lo + (1 << 20))
-    assert max(counts) > 8  # far out, levels of many states are counted too
+    same, odd = _divisor_counts(lo, lo + (1 << 20))
+    assert (same, odd) == _classes(oracles.stripe_counts(lo, lo + (1 << 20)))
+    assert max(same) > 8 and max(odd) > 8  # far out, levels of many states are counted too
 
 
 @pytest.mark.parametrize("e_max", [3 * 4096 + 1, 100_003])
 def test_census_and_table_from_divisor_sums_equal_those_from_the_stripe(monkeypatch, e_max):
     monkeypatch.setattr(spectrum_module, "_COUNT_WINDOW", 4096)
     summed = (build_census(enumerate_spectrum(e_max)), enumerate_spectrum(e_max).degeneracies())
-    monkeypatch.setattr(spectrum_module, "_divisor_counts", oracles.stripe_counts)
+    monkeypatch.setattr(spectrum_module, "_divisor_counts",
+                        lambda lo, hi: _classes(oracles.stripe_counts(lo, hi)))
     striped = (build_census(enumerate_spectrum(e_max)), enumerate_spectrum(e_max).degeneracies())
     assert summed[1] == bytes(oracles.divisor_sum_degeneracies(e_max))
     assert striped == summed
@@ -1183,18 +1212,19 @@ def test_divisor_sums_stay_below_a_byte_in_any_range_that_counts():
 
 
 def test_a_divisor_window_reaching_a_wrapped_sum_raises():
-    last = _DIVISOR_SUM_EXACT
-    for lo, hi in ((last, last + 1), (last - 4, last + 1), (last - 4, last + 64)):
+    last = _DIVISOR_SUM_EXACT  # = 1 (mod 4)
+    for lo, hi in ((last - 1, last + 1), (last - 5, last + 1), (last - 5, last + 63)):
         with pytest.raises(ValueError):
             _divisor_counts(lo, hi)
-    # the window that stops just short of it is counted
-    below = range(last - 4, last)
-    assert list(_divisor_counts(below.start, below.stop)) == [len(form_solutions(e)) for e in below]
+    # the window of 64 energies that stops just short of it is counted
+    lo = last - 65
+    assert _divisor_counts(lo, last) == _classes(oracles.stripe_counts(lo, last))
 
 
 def test_a_divisor_window_past_a_count_byte_raises_as_the_stripe_does():
     energy = 145_651_423_372  # 288 states, see test_first_level_past_a_count_byte
-    for count in (_divisor_counts, oracles.stripe_counts):
-        with pytest.raises(ValueError):
-            count(energy - 8, energy + 8)
-    assert _divisor_counts(energy - 8, energy) == oracles.stripe_counts(energy - 8, energy)
+    with pytest.raises(ValueError):
+        _divisor_counts(energy - 8, energy + 8)
+    with pytest.raises(ValueError):
+        oracles.stripe_counts(energy - 8, energy + 8)
+    assert _divisor_counts(energy - 8, energy) == _classes(oracles.stripe_counts(energy - 8, energy))
